@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
        k < static_cast<int>(std::ceil(
                std::log(instance->MaxRequestValue() + 1.0)));
        ++k) {
-    RamCom a({}, k), b({}, k);
+    RamCom a(k), b(k);
     std::printf("  fixed k=%d     revenue %.1f\n", k,
                 RunRevenue(&a, &b, *instance, seeds));
   }

@@ -2,7 +2,9 @@
 // BENCH_kernels.json baseline. For each batch size (1k / 10k / 100k points)
 // it times the batched kernels on the scalar backend and on the dispatched
 // (cpuid-selected) backend, next to the historical per-call paths they
-// replaced, and emits one flat JSON record per (op, path, size).
+// replaced, and emits one flat JSON record per (op, path, size). One more
+// row times RamCOM's MER quote (pricing/mer_pricer.h), the ECDF scan's
+// main caller, and gates its output bits.
 //
 // Deterministic fields — "checksum" (fixed-order sum over seeded inputs),
 // "n", "survivors" — are identical on every host and backend (the kernel
@@ -16,7 +18,9 @@
 // the tier-1 gate stays fast.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,8 +31,11 @@
 #include "kernels/dispatch.h"
 #include "kernels/ecdf_batch.h"
 #include "kernels/geo_kernels.h"
+#include "model/instance.h"
 #include "obs/span.h"
+#include "pricing/acceptance_model.h"
 #include "pricing/history.h"
+#include "pricing/mer_pricer.h"
 #include "util/memory_meter.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -285,6 +292,64 @@ int main(int argc, char** argv) {
     records.push_back(std::move(ecdf_row.record));
 
     std::printf("n=%-7zu done\n", n);
+  }
+
+  // -- pricing: RamCOM's MER quote over seeded candidate sets. Histories
+  // are shaped like the synthetic generator's (each worker's values sit
+  // within +-5% of its own reservation level, levels spread across
+  // workers). The gate field folds the bits of every quote (payment,
+  // acceptance probability, expected revenue) into a 53-bit FNV-1a hash,
+  // so any change to any quote shows; wall_ns_per_quote is informational
+  // like all timing. --
+  {
+    Rng quote_rng(2020);
+    Instance ins;
+    for (size_t w = 0; w < kWorkers; ++w) {
+      Worker worker;
+      const double level = quote_rng.Uniform(10.0, 60.0);
+      const int64_t len = quote_rng.UniformInt(0, 64);
+      for (int64_t i = 0; i < len; ++i) {
+        worker.history.push_back(level * quote_rng.Uniform(0.95, 1.05));
+      }
+      ins.AddWorker(std::move(worker));
+    }
+    ins.BuildEvents();
+    const AcceptanceModel model(ins);
+    constexpr size_t kQuotes = 500;
+    std::vector<std::vector<WorkerId>> candidate_sets(kQuotes);
+    std::vector<double> values(kQuotes);
+    for (size_t q = 0; q < kQuotes; ++q) {
+      const int64_t k = quote_rng.UniformInt(1, 96);
+      for (int64_t i = 0; i < k; ++i) {
+        candidate_sets[q].push_back(quote_rng.UniformInt(
+            0, static_cast<int64_t>(kWorkers) - 1));
+      }
+      values[q] = quote_rng.Uniform(5.0, 100.0);
+    }
+    const auto quote_pass = [&] {
+      for (size_t q = 0; q < kQuotes; ++q) {
+        g_sink += ComputeMerQuote(model, candidate_sets[q], values[q]).payment;
+      }
+    };
+    uint64_t hash = 0xcbf29ce484222325ULL;
+    for (size_t q = 0; q < kQuotes; ++q) {
+      const MerQuote quote =
+          ComputeMerQuote(model, candidate_sets[q], values[q]);
+      for (double x : {quote.payment, quote.accept_probability,
+                       quote.expected_revenue}) {
+        uint64_t bits;
+        std::memcpy(&bits, &x, sizeof(bits));
+        hash = (hash ^ bits) * 0x100000001b3ULL;
+      }
+    }
+    Row row = TimeRow("pricing.mer_quote", kQuotes,
+                      static_cast<double>(hash >> 11), quote_pass,
+                      smoke ? 1'000 : 50'000, reps);
+    row.record.numbers["wall_ns_per_quote"] =
+        row.secs_per_pass / static_cast<double>(kQuotes) * 1e9;
+    std::printf("  %-40s %8.1f ns/quote\n", row.record.name.c_str(),
+                row.record.numbers["wall_ns_per_quote"]);
+    records.push_back(std::move(row.record));
   }
 
   // -- observability: ScopedSpan record cost (budget: < 50 ns/record on the

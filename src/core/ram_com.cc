@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "obs/span.h"
+#include "pricing/mer_pricer.h"
 
 namespace comx {
 
@@ -68,7 +69,7 @@ Decision RamCom::OnRequest(const Request& r, const PlatformView& view) {
   MerQuote quote;
   {
     COMX_SPAN("pricing_estimate");
-    quote = ComputeMerQuote(view.acceptance(), outer, r.value, config_);
+    quote = ComputeMerQuote(view.acceptance(), outer, r.value);
   }
   const double payment = quote.payment;
   stats.estimated_payment = payment;

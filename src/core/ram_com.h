@@ -13,7 +13,6 @@
 #define COMX_CORE_RAM_COM_H_
 
 #include "core/online_matcher.h"
-#include "pricing/mer_pricer.h"
 #include "util/rng.h"
 
 namespace comx {
@@ -26,10 +25,8 @@ class RamCom : public OnlineMatcher {
   /// study the individual threshold arms; -1 (default) draws per Reset.
   /// `max_outer_candidates` > 0 caps the cooperative candidate set to the
   /// nearest K workers before MER pricing; 0 = unlimited.
-  explicit RamCom(MerConfig config = {}, int fixed_exponent = -1,
-                  int max_outer_candidates = 0)
-      : config_(config),
-        fixed_exponent_(fixed_exponent),
+  explicit RamCom(int fixed_exponent = -1, int max_outer_candidates = 0)
+      : fixed_exponent_(fixed_exponent),
         max_outer_candidates_(max_outer_candidates) {}
 
   void Reset(const Instance& instance, PlatformId platform,
@@ -59,7 +56,6 @@ class RamCom : public OnlineMatcher {
   const Diagnostics& diagnostics() const { return diag_; }
 
  private:
-  MerConfig config_;
   int fixed_exponent_ = -1;
   int max_outer_candidates_ = 0;
   double threshold_ = 0.0;

@@ -82,7 +82,7 @@ TEST(CandidateCapTest, CappedRamComStillBorrows) {
   ins.AddRequest(MakeRequest(0, 2, 50, 50, 1000.0));  // raise theta
   ins.BuildEvents();
   FakeView view(ins, 0);
-  RamCom capped({}, /*fixed_exponent=*/8, /*max_outer_candidates=*/3);
+  RamCom capped(/*fixed_exponent=*/8, /*max_outer_candidates=*/3);
   capped.Reset(ins, 0, 3);
   const Decision d = capped.OnRequest(MakeRequest(0, 2, 0, 0, 10.0), view);
   ASSERT_EQ(d.kind, Decision::Kind::kOuter);

@@ -84,7 +84,7 @@ TEST(RamComFixedExponentTest, FreezesThreshold) {
   const Instance ins = PaperExample();
   for (int k = 0; k <= 2; ++k) {
     for (uint64_t seed = 0; seed < 5; ++seed) {
-      RamCom ram({}, k);
+      RamCom ram(k);
       ram.Reset(ins, 0, seed);
       EXPECT_DOUBLE_EQ(ram.threshold(), std::exp(k));
     }
@@ -95,7 +95,7 @@ TEST(RamComFixedExponentTest, NegativeMeansDraw) {
   const Instance ins = PaperExample();
   std::set<double> seen;
   for (uint64_t seed = 0; seed < 40; ++seed) {
-    RamCom ram({}, -1);
+    RamCom ram(-1);
     ram.Reset(ins, 0, seed);
     seen.insert(ram.threshold());
   }
@@ -111,7 +111,7 @@ TEST(RamComFixedExponentTest, ZeroExponentKeepsEverythingInner) {
   ins.AddRequest(MakeRequest(0, 2, 0, 0, 5.0));
   ins.BuildEvents();
   FakeView view(ins, 0);
-  RamCom ram({}, 0);
+  RamCom ram(0);
   ram.Reset(ins, 0, 1);
   const Decision d = ram.OnRequest(MakeRequest(0, 2, 0, 0, 5.0), view);
   EXPECT_EQ(d.kind, Decision::Kind::kInner);
@@ -124,7 +124,7 @@ TEST(RamComFixedExponentTest, HugeExponentDivertsEverything) {
   ins.AddRequest(MakeRequest(0, 2, 0, 0, 5.0));
   ins.BuildEvents();
   FakeView view(ins, 0);
-  RamCom ram({}, 10);  // threshold e^10 >> 5
+  RamCom ram(10);  // threshold e^10 >> 5
   ram.Reset(ins, 0, 1);
   const Decision d = ram.OnRequest(MakeRequest(0, 2, 0, 0, 5.0), view);
   EXPECT_NE(d.kind, Decision::Kind::kInner);

@@ -63,9 +63,11 @@ TEST(MerPricerTest, PaperExampleThreeDistribution) {
   EXPECT_DOUBLE_EQ(model.AcceptProbability(0, 5.0), 0.9);
 
   const MerQuote q = ComputeMerQuote(model, {0}, 6.0);
-  // Candidates include the integer grid; the best integer quote is p = 4:
-  // (6-4)*0.8 = 1.6 vs p=5: 0.9, p=3: 1.2, p=2: 1.2, p=1: 1.0. History
-  // values can only do better at the same step (e.g. 3.8 gives 1.76).
+  // Over the integer payments the paper's best quote is p = 4: (6-4)*0.8 =
+  // 1.6 vs p=5: 0.9, p=3: 1.2, p=2: 1.2, p=1: 1.0. The pricer's grid is not
+  // those integers but 6*i/7 for i = 1..6, plus v and the history values
+  // <= v; the history value 3.8 reaches the same 0.8 at a lower payment,
+  // so the quote does at least as well (1.76).
   EXPECT_GE(q.expected_revenue, 1.6);
   EXPECT_DOUBLE_EQ(q.accept_probability,
                    model.AcceptProbability(0, q.payment));
@@ -117,6 +119,27 @@ TEST(MerPricerTest, QuoteIsGridOptimal) {
   for (double p = 0.05; p <= v; p += 0.05) {
     const double e = (v - p) * model.GroupAcceptProbability(cands, p);
     EXPECT_LE(e, q.expected_revenue + 1e-9) << "p=" << p;
+  }
+}
+
+TEST(MerPricerTest, ValueAboveIntMaxKeepsTheGrid) {
+  // Regression: the grid cap used to be applied after an int cast of
+  // floor(v), which is undefined for v > INT_MAX (on x86 it gave INT_MIN
+  // and the evenly spaced points vanished, quoting 1e9+60 at pr 61/64).
+  // Above and below INT_MAX the quote must be the evenly spaced point just
+  // past 1e9+61, accepted by 62 of the 64 history values.
+  std::vector<double> hist;
+  for (int j = 0; j < 62; ++j) hist.push_back(1e9 + j);
+  hist.push_back(2.0e9);
+  hist.push_back(2.05e9);
+  const Instance ins = WorkersWithHistories({hist});
+  const AcceptanceModel model(ins);
+  for (double v : {2.1e9, 2.2e9}) {
+    const MerQuote q = ComputeMerQuote(model, {0}, v);
+    const double step = v / 4097.0;
+    EXPECT_GT(q.payment, 1e9 + 61) << "v=" << v;
+    EXPECT_LE(q.payment, 1e9 + 61 + step) << "v=" << v;
+    EXPECT_EQ(q.accept_probability, 62.0 / 64.0) << "v=" << v;
   }
 }
 
