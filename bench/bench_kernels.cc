@@ -2,9 +2,10 @@
 // BENCH_kernels.json baseline. For each batch size (1k / 10k / 100k points)
 // it times the batched kernels on the scalar backend and on the dispatched
 // (cpuid-selected) backend, next to the historical per-call paths they
-// replaced, and emits one flat JSON record per (op, path, size). One more
-// row times RamCOM's MER quote (pricing/mer_pricer.h), the ECDF scan's
-// main caller, and gates its output bits.
+// replaced, and emits one flat JSON record per (op, path, size). Two more
+// rows time the ECDF kernels' pricing callers — RamCOM's MER quote
+// (pricing/mer_pricer.h) and DemCOM's Algorithm 2 estimate
+// (pricing/min_payment_estimator.h) — and gate their output bits.
 //
 // Deterministic fields — "checksum" (fixed-order sum over seeded inputs),
 // "n", "survivors" — are identical on every host and backend (the kernel
@@ -36,6 +37,7 @@
 #include "pricing/acceptance_model.h"
 #include "pricing/history.h"
 #include "pricing/mer_pricer.h"
+#include "pricing/min_payment_estimator.h"
 #include "util/memory_meter.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -350,6 +352,57 @@ int main(int argc, char** argv) {
     std::printf("  %-40s %8.1f ns/quote\n", row.record.name.c_str(),
                 row.record.numbers["wall_ns_per_quote"]);
     records.push_back(std::move(row.record));
+
+    // -- pricing: DemCOM's Algorithm 2 estimate (pricing/
+    // min_payment_estimator.h) with the default accuracy knobs, over
+    // seeded candidate sets against the same model, all drawing from one
+    // Rng stream. The gate field folds each estimate's payment bits, its
+    // bisection iteration count and the Rng state after it into a 53-bit
+    // FNV-1a hash, so a change to any payment or to the draw sequence
+    // shows; wall_ns_per_estimate is informational. --
+    Rng set_rng(2021);
+    constexpr size_t kEstimates = 500;
+    std::vector<std::vector<WorkerId>> estimate_sets(kEstimates);
+    std::vector<double> estimate_values(kEstimates);
+    for (size_t e = 0; e < kEstimates; ++e) {
+      const int64_t k = set_rng.UniformInt(1, 64);
+      for (int64_t i = 0; i < k; ++i) {
+        estimate_sets[e].push_back(set_rng.UniformInt(
+            0, static_cast<int64_t>(kWorkers) - 1));
+      }
+      estimate_values[e] = set_rng.Uniform(5.0, 100.0);
+    }
+    const auto estimate_pass = [&] {
+      Rng draw_rng(2022);
+      for (size_t e = 0; e < kEstimates; ++e) {
+        g_sink += EstimateMinOuterPayment(model, estimate_sets[e],
+                                          estimate_values[e], {}, &draw_rng)
+                      .payment;
+      }
+    };
+    uint64_t estimate_hash = 0xcbf29ce484222325ULL;
+    Rng draw_rng(2022);
+    for (size_t e = 0; e < kEstimates; ++e) {
+      const MinPaymentEstimate est = EstimateMinOuterPayment(
+          model, estimate_sets[e], estimate_values[e], {}, &draw_rng);
+      uint64_t words[6];
+      std::memcpy(&words[0], &est.payment, sizeof(words[0]));
+      words[1] = static_cast<uint64_t>(est.bisect_iterations);
+      const Rng::State state = draw_rng.SaveState();
+      for (int i = 0; i < 4; ++i) words[2 + i] = state.s[i];
+      for (uint64_t word : words) {
+        estimate_hash = (estimate_hash ^ word) * 0x100000001b3ULL;
+      }
+    }
+    Row estimate_row = TimeRow("pricing.min_payment", kEstimates,
+                               static_cast<double>(estimate_hash >> 11),
+                               estimate_pass, smoke ? 1'000 : 50'000, reps);
+    estimate_row.record.numbers["wall_ns_per_estimate"] =
+        estimate_row.secs_per_pass / static_cast<double>(kEstimates) * 1e9;
+    std::printf("  %-40s %8.1f ns/estimate\n",
+                estimate_row.record.name.c_str(),
+                estimate_row.record.numbers["wall_ns_per_estimate"]);
+    records.push_back(std::move(estimate_row.record));
   }
 
   // -- observability: ScopedSpan record cost (budget: < 50 ns/record on the

@@ -1,10 +1,11 @@
 #include "pricing/min_payment_estimator.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "obs/metrics_registry.h"
 #include "obs/span.h"
-#include "util/timer.h"
 
 namespace comx {
 namespace {
@@ -28,7 +29,7 @@ void RecordEstimate(const MinPaymentEstimate& estimate) {
       "Distribution of bisection iterations per estimate");
   static obs::Counter* const exhausted = registry.GetCounter(
       "comx_pricing_budget_exhausted_total",
-      "Estimates cut short by the iteration or wall-clock budget");
+      "Estimates cut short by the bisection iteration budget");
   estimates->Inc();
   iterations->Inc(estimate.bisect_iterations);
   samples->Inc(estimate.samples);
@@ -36,25 +37,50 @@ void RecordEstimate(const MinPaymentEstimate& estimate) {
   if (estimate.budget_exhausted) exhausted->Inc();
 }
 
-// One Bernoulli sweep over pre-evaluated acceptance probabilities: does any
-// candidate accept? The probabilities come from one EcdfIndex batch pass
-// (bit-identical to AcceptProbability), and the draw loop replicates
-// Rng::Bernoulli exactly — p <= 0 is false and p >= 1 is true, neither
-// consuming a draw — so the RNG stream matches the historical per-worker
-// DrawAcceptance loop bit for bit.
-bool AnyoneAccepts(const double* probs, size_t n, Rng* rng) {
-  bool any = false;
-  // Every candidate is drawn (not short-circuited) so the RNG stream
-  // consumption is independent of the outcome order, keeping runs
-  // reproducible under candidate reordering.
+// Memoized bisection tree nodes per estimate: node 0 is the full request
+// value, nodes 1..kMemoNodes-1 the first log2(kMemoNodes) bisection levels
+// in heap order (root 1 = v/2; accept at node k -> 2k, reject -> 2k+1).
+// 64 nodes cover every path the default xi = 0.1 takes (3 levels) with room
+// to spare; deeper nodes are evaluated directly.
+constexpr uint32_t kMemoNodes = 64;
+static_assert(kMemoNodes <= 64, "the filled-node set is one 64-bit mask");
+
+// One memoized acceptance sweep: the candidates with 0 < p < 1, in
+// candidate order, plus whether some candidate has p >= 1. Candidates with
+// p <= 0 never accept and consume no draw, so they are dropped.
+struct MemoEntry {
+  uint32_t begin = 0;  // slice [begin, end) of the flat probability buffer
+  uint32_t end = 0;
+  bool certain = false;
+};
+
+// Compacts `probs` into `partial` (appended) and returns the entry. The
+// test mirrors Rng::Bernoulli: p <= 0 is dropped, p >= 1 sets `certain`,
+// anything else (NaN included) keeps its draw.
+MemoEntry Compact(const double* probs, size_t n, std::vector<double>* partial) {
+  MemoEntry entry;
+  entry.begin = static_cast<uint32_t>(partial->size());
   for (size_t i = 0; i < n; ++i) {
     const double p = probs[i];
     if (p <= 0.0) continue;
     if (p >= 1.0) {
-      any = true;
+      entry.certain = true;
       continue;
     }
-    any = (rng->NextDouble() < p) || any;
+    partial->push_back(p);
+  }
+  entry.end = static_cast<uint32_t>(partial->size());
+  return entry;
+}
+
+// One Bernoulli sweep: does any candidate accept? Every remaining
+// candidate is drawn (not short-circuited after the first acceptance) so
+// the RNG stream consumed is independent of the outcomes, exactly as the
+// uncompacted per-candidate loop: same draws, same order.
+bool AnyoneAccepts(const MemoEntry& entry, const double* partial, Rng* rng) {
+  bool any = entry.certain;
+  for (uint32_t i = entry.begin; i < entry.end; ++i) {
+    any = (rng->NextDouble() < partial[i]) || any;
   }
   return any;
 }
@@ -62,7 +88,14 @@ bool AnyoneAccepts(const double* probs, size_t n, Rng* rng) {
 }  // namespace
 
 int MinPaymentConfig::SampleCount() const {
-  return static_cast<int>(std::ceil(4.0 * std::log(2.0 / xi) / (eta * eta)));
+  // Clamped in double before the cast: xi >= 2 gives a count <= 0, eta = 0
+  // gives +inf and a NaN argument gives NaN; at least one instance runs.
+  const double n = std::ceil(4.0 * std::log(2.0 / xi) / (eta * eta));
+  if (!(n >= 1.0)) return 1;
+  if (n >= static_cast<double>(std::numeric_limits<int>::max())) {
+    return std::numeric_limits<int>::max();
+  }
+  return static_cast<int>(n);
 }
 
 MinPaymentEstimate EstimateMinOuterPayment(
@@ -78,35 +111,29 @@ MinPaymentEstimate EstimateMinOuterPayment(
     return out;
   }
 
-  // Vectorized Algorithm-2 path: the acceptance probabilities at the full
-  // request value are the same for every Monte-Carlo instance, so evaluate
-  // them once up front (one flat ECDF batch pass instead of n_s * |C|
-  // binary searches); each bisection midpoint gets its own batch pass,
-  // shared by the whole candidate sweep of that step.
+  // A bisection midpoint depends only on the accept/reject path that led
+  // to it, so the probabilities at each tree node are evaluated (one ECDF
+  // batch pass) the first time any sampling instance reaches the node and
+  // reused by every later instance. Node 0, the full value, is reached by
+  // every instance and filled up front.
   const size_t n_c = candidates.size();
   const kernels::EcdfIndex& ecdf = model.ecdf();
-  thread_local std::vector<double> probs_value;
-  thread_local std::vector<double> probs_mid;
-  probs_value.resize(n_c);
-  probs_mid.resize(n_c);
-  ecdf.BatchEvaluate(candidates.data(), n_c, request_value,
-                     probs_value.data());
+  thread_local std::vector<double> probs;
+  thread_local std::vector<double> partial;
+  probs.resize(n_c);
+  partial.clear();
+  MemoEntry memo[kMemoNodes];
+  uint64_t filled = 1;  // bit k set: memo[k] holds node k
+  ecdf.BatchEvaluate(candidates.data(), n_c, request_value, probs.data());
+  memo[0] = Compact(probs.data(), n_c, &partial);
 
   double sum = 0.0;
   int rejects = 0;
-  Stopwatch budget_clock;  // consulted only when max_seconds > 0
   for (int s = 0; s < n_s; ++s) {
-    // Wall-clock budget: always complete at least one instance so the
-    // estimate is meaningful, then stop the moment the budget is spent.
-    if (config.max_seconds > 0.0 && s > 0 &&
-        budget_clock.ElapsedNanos() * 1e-9 > config.max_seconds) {
-      out.budget_exhausted = true;
-      break;
-    }
     ++out.samples;
     // Paper Algorithm 2 lines 4-6: if nobody accepts the full value, this
     // instance contributes v_r + epsilon.
-    if (!AnyoneAccepts(probs_value.data(), n_c, rng)) {
+    if (!AnyoneAccepts(memo[0], partial.data(), rng)) {
       sum += request_value + config.epsilon;
       ++rejects;
       continue;
@@ -116,6 +143,7 @@ MinPaymentEstimate EstimateMinOuterPayment(
     double v_l = 0.0;
     double v_h = request_value;
     double v_m = 0.5 * v_h;
+    uint32_t node = 1;  // >= kMemoNodes once the path leaves the memo
     while (v_m - v_l > config.xi * request_value) {
       // Iteration budget: the estimate-wide cap keeps a pathological
       // tolerance from spinning; the current midpoint is good enough.
@@ -125,8 +153,23 @@ MinPaymentEstimate EstimateMinOuterPayment(
         break;
       }
       ++out.bisect_iterations;
-      ecdf.BatchEvaluate(candidates.data(), n_c, v_m, probs_mid.data());
-      if (AnyoneAccepts(probs_mid.data(), n_c, rng)) {
+      bool accepted = false;
+      if (node < kMemoNodes) {
+        if (!((filled >> node) & 1)) {
+          ecdf.BatchEvaluate(candidates.data(), n_c, v_m, probs.data());
+          memo[node] = Compact(probs.data(), n_c, &partial);
+          filled |= uint64_t{1} << node;
+        }
+        accepted = AnyoneAccepts(memo[node], partial.data(), rng);
+        node = 2 * node + (accepted ? 0 : 1);
+      } else {
+        ecdf.BatchEvaluate(candidates.data(), n_c, v_m, probs.data());
+        const size_t mark = partial.size();
+        const MemoEntry entry = Compact(probs.data(), n_c, &partial);
+        accepted = AnyoneAccepts(entry, partial.data(), rng);
+        partial.resize(mark);
+      }
+      if (accepted) {
         v_h = v_m;
       } else {
         v_l = v_m;

@@ -4,6 +4,24 @@
 // every candidate worker and bisects the payment until the bracket is
 // narrower than xi * v_r; the estimator is the mean over
 // n_s = ceil(4 ln(2/xi) / eta^2) instances (Lemma 1 accuracy bound).
+//
+// Midpoint memo (exact, not an approximation). Every instance starts from
+// the same bracket [0, v_r] and moves it with the same floating-point
+// update, so each bisection midpoint is a function of the accept/reject
+// path that led to it: the midpoints form one fixed binary tree per
+// estimate. The acceptance probabilities at a tree node are therefore the
+// same in every instance that reaches it; they are computed once per
+// estimate for v_r and for the 63 midpoints of the first six levels (the
+// default xi = 0.1 bisects 3 times, visiting at most 7 of them) and reused.
+// Deeper nodes are evaluated directly. Each memo entry keeps only the
+// candidates with 0 < p < 1, in candidate order, plus one "some p >= 1"
+// flag: a candidate with p <= 0 or p >= 1 consumes no draw in the
+// per-candidate Bernoulli loop, so the compacted loop draws the same
+// numbers in the same order and reaches the same accept/reject outcome.
+// Payments, the draw sequence (hence the caller's Rng state afterwards),
+// bisect_iterations, samples and budget_exhausted are all unchanged for
+// every xi / eta / budget; tests/pricing/min_payment_memo_differential_test
+// checks this against the uncompacted loop.
 
 #ifndef COMX_PRICING_MIN_PAYMENT_ESTIMATOR_H_
 #define COMX_PRICING_MIN_PAYMENT_ESTIMATOR_H_
@@ -27,16 +45,14 @@ struct MinPaymentConfig {
   double epsilon = 1e-3;
   /// Hard cap on total bisection iterations per estimate, so pricing can
   /// never stall a request on a pathological tolerance. The default is far
-  /// above what the paper's accuracy knobs ever burn (~200 with the
-  /// defaults above), so it never binds — and therefore never perturbs —
-  /// a normally-configured run. <= 0 disables the cap.
+  /// above what the paper's accuracy knobs ever burn (at most 48 x 3 = 144
+  /// with the defaults above), so it never binds — and therefore never
+  /// perturbs — a normally-configured run. <= 0 disables the cap.
   int64_t max_bisect_iterations = 4096;
-  /// Optional wall-clock budget per estimate, seconds. 0 (the default)
-  /// disables it. Unlike the iteration cap this consults a real clock, so
-  /// enabling it trades bit-reproducibility for a hard latency bound.
-  double max_seconds = 0.0;
 
-  /// n_s = ceil(4 ln(2/xi) / eta^2).
+  /// n_s = ceil(4 ln(2/xi) / eta^2), clamped to [1, INT_MAX]: xi >= 2
+  /// (a count <= 0) still runs one instance, and eta = 0 does not
+  /// overflow the int.
   int SampleCount() const;
 };
 
@@ -47,16 +63,17 @@ struct MinPaymentEstimate {
   /// Fraction of sampling instances in which nobody accepted at v_r — a
   /// diagnostic for "the request is effectively unservable at any price".
   double reject_fraction = 0.0;
-  /// Total bisection iterations burned across all sampling instances — the
-  /// dominant cost driver (each iteration sweeps every candidate). Fed to
-  /// the decision trace and the comx_pricing_* metrics.
+  /// Total bisection iterations burned across all sampling instances. Each
+  /// one draws once per candidate with 0 < p < 1 at its midpoint; only the
+  /// first visit to a memoized tree node sweeps every candidate's ECDF. Fed
+  /// to the decision trace and the comx_pricing_* metrics.
   int64_t bisect_iterations = 0;
   /// Monte-Carlo sampling instances run (= config.SampleCount() normally;
-  /// fewer when a budget cut the estimate short; 0 for an empty candidate
+  /// fewer when the budget cut the estimate short; 0 for an empty candidate
   /// set).
   int32_t samples = 0;
-  /// True when the iteration or wall-clock budget stopped the estimate
-  /// early; the payment is then the mean over the instances that ran.
+  /// True when max_bisect_iterations stopped the estimate early; the
+  /// payment is then the mean over the instances that ran.
   /// Mirrored by the comx_pricing_budget_exhausted_total counter.
   bool budget_exhausted = false;
 };

@@ -24,11 +24,25 @@ class Rng {
   /// Seeds the generator. Identical seeds produce identical streams.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-  /// Next raw 64-bit output.
-  uint64_t NextUint64();
+  /// Next raw 64-bit output. Inline: the pricing draw loops call it once
+  /// per candidate.
+  uint64_t NextUint64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double Uniform(double lo, double hi);
@@ -79,6 +93,10 @@ class Rng {
   void RestoreState(const State& state);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -1,6 +1,7 @@
 #include "pricing/min_payment_estimator.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,34 @@ TEST(MinPaymentConfigTest, SampleCountFormula) {
             static_cast<int>(std::ceil(4.0 * std::log(20.0) / 0.25)));
   c.eta = 1.0;
   EXPECT_EQ(c.SampleCount(), static_cast<int>(std::ceil(4.0 * std::log(20.0))));
+}
+
+TEST(MinPaymentConfigTest, SampleCountRunsAtLeastOneInstance) {
+  MinPaymentConfig c;
+  c.xi = 2.0;  // ln(2 / xi) = 0
+  EXPECT_EQ(c.SampleCount(), 1);
+  c.xi = 3.0;  // ln(2 / xi) < 0
+  EXPECT_EQ(c.SampleCount(), 1);
+  c.xi = 0.1;
+  c.eta = 0.0;  // 4 ln(20) / 0 = +inf
+  EXPECT_GE(c.SampleCount(), 1);
+  EXPECT_EQ(c.SampleCount(), std::numeric_limits<int>::max());
+  c.xi = 2.0;  // 0 / 0 = NaN
+  EXPECT_EQ(c.SampleCount(), 1);
+}
+
+TEST(MinPaymentTest, ToleranceAboveTwoStillQuotesAFinitePayment) {
+  // xi = 2 used to give n_s = 0 and a 0/0 = NaN payment.
+  const Instance ins = WorkersWithHistories({{3.0, 6.0, 9.0}});
+  const AcceptanceModel model(ins);
+  MinPaymentConfig config;
+  config.xi = 2.0;
+  Rng rng(12);
+  const auto est = EstimateMinOuterPayment(model, {0}, 10.0, config, &rng);
+  EXPECT_EQ(est.samples, 1);
+  EXPECT_TRUE(std::isfinite(est.payment));
+  EXPECT_TRUE(std::isfinite(est.reject_fraction));
+  EXPECT_LE(est.payment, 10.0 + config.epsilon);
 }
 
 TEST(MinPaymentTest, EmptyCandidatesQuoteAboveValue) {
