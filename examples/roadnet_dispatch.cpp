@@ -10,11 +10,11 @@
 #include <cstdlib>
 
 #include "core/dem_com.h"
+#include "core/window_greedy.h"
 #include "datagen/synthetic.h"
 #include "roadnet/road_generator.h"
 #include "roadnet/road_metric.h"
 #include "roadnet/shortest_path.h"
-#include "sim/batch_simulator.h"
 #include "sim/simulator.h"
 
 int main(int argc, char** argv) {
@@ -82,10 +82,12 @@ int main(int argc, char** argv) {
 
   // 4. Batched dispatch on the road network (the production configuration:
   //    windowed optimal matching, real street distances).
-  comx::BatchConfig batch;
-  batch.window_seconds = 60.0;
-  batch.sim.metric = &metric;
-  auto batched = comx::RunBatchSimulation(*instance, batch, 1);
+  comx::SimConfig batch;
+  batch.metric = &metric;
+  batch.batch_mode = true;
+  batch.batch_window_seconds = 60.0;
+  comx::WindowGreedy w0, w1;  // reset by batch mode, never consulted
+  auto batched = comx::RunSimulation(*instance, {&w0, &w1}, batch, 1);
   if (!batched.ok()) {
     std::fprintf(stderr, "batch: %s\n",
                  batched.status().ToString().c_str());

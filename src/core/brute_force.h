@@ -2,7 +2,7 @@
 // reference the correctness harness (src/check/) checks the production
 // offline solvers against. Deliberately structure-free — plain recursion
 // over the left vertices with a used-right mask, no potentials, no flows —
-// so a bug in the Hungarian/min-cost-flow machinery cannot hide in a shared
+// so a bug in the Hungarian/incremental-KM machinery cannot hide in a shared
 // assumption. Only usable on tiny graphs; SolveOfflineBruteForce mirrors
 // SolveOffline (Section II-B's OFF) over the identical offline graph and
 // reservation draws, so equal revenue is the expected outcome, not a

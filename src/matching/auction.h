@@ -1,6 +1,6 @@
 // Bertsekas auction algorithm for maximum-weight bipartite matching with
 // free disposal (vertices may stay unmatched). A third independent solver
-// for the OFF baseline: it agrees with Hungarian / min-cost flow within
+// for the OFF baseline: it agrees with Hungarian / incremental KM within
 // left_count * epsilon, runs on sparse graphs without densification, and
 // parallels how real dispatch systems price-match (workers "bid" for
 // requests).

@@ -93,6 +93,21 @@ Status SimEngine::Init(const Instance& instance,
   for (OnlineMatcher* m : matchers) {
     if (m == nullptr) return Status::InvalidArgument("null matcher");
   }
+  // Service durations feed the re-arrival times that order the event heap,
+  // so an inf or NaN here would corrupt the event order.
+  if (!(config.speed_kmh > 0.0) || !std::isfinite(config.speed_kmh)) {
+    return Status::InvalidArgument(StrFormat(
+        "speed_kmh must be finite and > 0, got %g", config.speed_kmh));
+  }
+  if (!(config.base_service_seconds >= 0.0) ||
+      !std::isfinite(config.base_service_seconds) ||
+      !(config.service_seconds_per_value >= 0.0) ||
+      !std::isfinite(config.service_seconds_per_value)) {
+    return Status::InvalidArgument(StrFormat(
+        "base_service_seconds and service_seconds_per_value must be finite "
+        "and >= 0, got %g and %g",
+        config.base_service_seconds, config.service_seconds_per_value));
+  }
   if (config.batch_mode) {
     if (config.fault_plan != nullptr) {
       return Status::InvalidArgument(
@@ -482,117 +497,20 @@ Status SimEngine::ApplyBatchDecision(const Request& r, Timestamp close,
     }
   }
 
-  if (decision.attempted_outer) ++pm.outer_offers;
   if (config_.measure_response_time) {
     pm.response_time_us.Add((close - r.time) * 1e6);
   }
-
-  if (decision.kind == Decision::Kind::kReject) {
-    ++pm.rejected;
-    if (delta != nullptr) ++delta->rejected;
-    if (collect_) {
-      counters_[static_cast<size_t>(r.platform)].rejects->Inc();
-    }
-    if (config_.trace != nullptr) {
-      obs::TraceEvent ev = MakeTraceEvent(decision_seq_++, r, decision);
-      ev.outcome = "reject";
-      config_.trace->Record(ev);
-    }
-    return Status::OK();
-  }
-
-  // The same runtime guards as the online path: the window solver is
-  // internal, but a buggy backend must surface as an Internal error, not
-  // as a silently infeasible booking.
-  const WorkerId wid = decision.worker;
-  if (wid < 0 || wid >= static_cast<WorkerId>(instance_->workers().size())) {
-    return Status::Internal("batch solver returned invalid worker id");
-  }
-  if (!pool_->IsAvailable(wid)) {
-    return Status::Internal("batch solver assigned an occupied worker");
-  }
-  const Worker& w = instance_->worker(wid);
-  const bool is_outer = w.platform != r.platform;
-  if ((decision.kind == Decision::Kind::kOuter) != is_outer) {
-    return Status::Internal(
-        StrFormat("batch solver mislabelled inner/outer for worker %lld",
-                  static_cast<long long>(wid)));
-  }
-  const double pickup_km =
-      metric_->Distance(pool_->CurrentLocation(wid), r.location);
-  if (pickup_km > w.radius + 1e-9) {
-    return Status::Internal(
-        StrFormat("batch solver violated the range constraint (%.3f > %.3f)",
-                  pickup_km, w.radius));
-  }
-  if (pool_->AvailableSince(wid) > r.time) {
-    return Status::Internal("batch solver violated the time constraint");
-  }
-
-  Assignment a;
-  a.request = r.id;
-  a.worker = wid;
-  a.is_outer = is_outer;
-  if (is_outer) {
-    const double payment = decision.outer_payment;
-    if (!(payment > 0.0) || payment > r.value + 1e-9) {
-      return Status::Internal(
-          StrFormat("batch solver quoted outer payment %.4f outside "
-                    "(0, v=%.4f]",
-                    payment, r.value));
-    }
-    a.outer_payment = payment;
-    a.revenue = r.value - payment;
-    ++pm.completed_outer;
-    pm.outer_payment_sum += payment;
-    pm.payment_rate_sum += payment / r.value;
-  } else {
-    a.outer_payment = 0.0;
-    a.revenue = r.value;
-    ++pm.completed_inner;
-  }
-  ++pm.completed;
-  pm.revenue += a.revenue;
-  pm.total_pickup_km += pickup_km;
-  result_.matching.Add(a);
+  Assignment booked;
+  double pickup_km = 0.0;
+  COMX_RETURN_IF_ERROR(CommitDecision(r, decision, close, /*matcher=*/nullptr,
+                                      /*latency_ns=*/-1, {}, &booked,
+                                      &pickup_km));
   if (delta != nullptr) {
-    ++(is_outer ? delta->outer : delta->inner);
-    delta->revenue += a.revenue;
-  }
-
-  if (collect_) {
-    const PlatformCounters& pc = counters_[static_cast<size_t>(r.platform)];
-    (is_outer ? pc.outer : pc.inner)->Inc();
-  }
-  if (config_.trace != nullptr) {
-    obs::TraceEvent ev = MakeTraceEvent(decision_seq_++, r, decision);
-    ev.outcome = is_outer ? "outer" : "inner";
-    ev.worker = wid;
-    ev.payment = a.outer_payment;
-    ev.revenue = a.revenue;
-    config_.trace->Record(ev);
-  }
-
-  {
-    COMX_SPAN("pool_commit");
-    COMX_RETURN_IF_ERROR(pool_->MarkOccupied(wid));
-    pool_meter_.Release(kPoolEntryBytes);
-    --available_workers_;
-    if (pool_gauge_ != nullptr) {
-      pool_gauge_->Set(static_cast<double>(available_workers_));
-    }
-    if (config_.workers_recycle) {
-      const double duration =
-          ServiceDurationSeconds(config_, pickup_km, r.value);
-      Event rearrival;
-      rearrival.time = close + duration;
-      rearrival.kind = EventKind::kWorkerArrival;
-      rearrival.entity_id = wid;
-      rearrival.sequence = dynamic_sequence_++;
-      drop_off_[static_cast<size_t>(wid)] = r.location;
-      dynamic_events_.push_back(rearrival);
-      std::push_heap(dynamic_events_.begin(), dynamic_events_.end(),
-                     EventGreater{});
+    if (decision.kind == Decision::Kind::kReject) {
+      ++delta->rejected;
+    } else {
+      ++(booked.is_outer ? delta->outer : delta->inner);
+      delta->revenue += booked.revenue;
     }
   }
   return Status::OK();
@@ -700,6 +618,49 @@ Status SimEngine::StepRequest(const Event& e, StepRecord* record) {
     }
   }
 
+  const fault::RequestFaultInfo finfo =
+      fault_session_.has_value() ? fault_session_->TakeRequestInfo()
+                                 : fault::RequestFaultInfo{};
+  Assignment booked;
+  double pickup_km = 0.0;
+  COMX_RETURN_IF_ERROR(CommitDecision(r, decision, r.time, matcher,
+                                      decide_nanos, finfo, &booked,
+                                      &pickup_km));
+  if (record != nullptr) {
+    record->outcome = static_cast<int8_t>(decision.kind);
+    record->worker = booked.worker;
+    record->payment = booked.outer_payment;
+    record->revenue = booked.revenue;
+    record->pickup_km = pickup_km;
+    record->fault = finfo;
+  }
+  return Status::OK();
+}
+
+Status SimEngine::CommitDecision(const Request& r, const Decision& decision,
+                                 Timestamp dispatch_time,
+                                 const OnlineMatcher* matcher,
+                                 int64_t latency_ns,
+                                 const fault::RequestFaultInfo& fault,
+                                 Assignment* booked, double* pickup_km) {
+  PlatformMetrics& pm =
+      result_.metrics.per_platform[static_cast<size_t>(r.platform)];
+  const auto record_trace = [&](const char* outcome) {
+    if (config_.trace == nullptr) return;
+    obs::TraceEvent ev = MakeTraceEvent(decision_seq_++, r, decision);
+    ev.outcome = outcome;
+    ev.worker = booked->worker;
+    ev.payment = booked->outer_payment;
+    ev.revenue = booked->revenue;
+    ev.latency_ns = latency_ns;
+    ev.fault_retries = fault.retries;
+    ev.fault_failed_partners = fault.failed_partners;
+    ev.fault_reserve_conflicts = fault.reserve_conflicts;
+    ev.degraded = fault.degraded;
+    config_.trace->Record(ev);
+  };
+  *booked = Assignment{};
+  *pickup_km = 0.0;
   if (decision.attempted_outer) ++pm.outer_offers;
 
   if (decision.kind == Decision::Kind::kReject) {
@@ -707,133 +668,95 @@ Status SimEngine::StepRequest(const Event& e, StepRecord* record) {
     if (collect_) {
       counters_[static_cast<size_t>(r.platform)].rejects->Inc();
     }
-    const fault::RequestFaultInfo finfo =
-        fault_session_.has_value() ? fault_session_->TakeRequestInfo()
-                                   : fault::RequestFaultInfo{};
-    if (record != nullptr) {
-      record->outcome = static_cast<int8_t>(Decision::Kind::kReject);
-      record->worker = kInvalidId;
-      record->fault = finfo;
-    }
-    if (config_.trace != nullptr) {
-      obs::TraceEvent ev = MakeTraceEvent(decision_seq_++, r, decision);
-      ev.outcome = "reject";
-      ev.latency_ns = decide_nanos;
-      ev.fault_retries = finfo.retries;
-      ev.fault_failed_partners = finfo.failed_partners;
-      ev.fault_reserve_conflicts = finfo.reserve_conflicts;
-      ev.degraded = finfo.degraded;
-      config_.trace->Record(ev);
-    }
+    record_trace("reject");
     return Status::OK();
   }
 
-  // Validate and apply the decision.
+  // A buggy matcher or window solver must surface as an Internal error,
+  // never as a silently infeasible booking.
+  const auto source = [matcher] {
+    return matcher != nullptr ? matcher->name() : std::string("batch solver");
+  };
   const WorkerId wid = decision.worker;
   if (wid < 0 || wid >= static_cast<WorkerId>(instance_->workers().size())) {
     return Status::Internal(
-        StrFormat("%s returned invalid worker id", matcher->name().c_str()));
+        StrFormat("%s returned invalid worker id", source().c_str()));
   }
   if (!pool_->IsAvailable(wid)) {
-    return Status::Internal(StrFormat("%s assigned an occupied worker",
-                                      matcher->name().c_str()));
+    return Status::Internal(
+        StrFormat("%s assigned an occupied worker", source().c_str()));
   }
   const Worker& w = instance_->worker(wid);
   const bool is_outer = w.platform != r.platform;
   if ((decision.kind == Decision::Kind::kOuter) != is_outer) {
     return Status::Internal(
         StrFormat("%s mislabelled inner/outer for worker %lld",
-                  matcher->name().c_str(), static_cast<long long>(wid)));
+                  source().c_str(), static_cast<long long>(wid)));
   }
-  const double pickup_km =
+  const double pickup =
       metric_->Distance(pool_->CurrentLocation(wid), r.location);
-  if (pickup_km > w.radius + 1e-9) {
+  if (pickup > w.radius + 1e-9) {
     return Status::Internal(
         StrFormat("%s violated the range constraint (%.3f > %.3f)",
-                  matcher->name().c_str(), pickup_km, w.radius));
+                  source().c_str(), pickup, w.radius));
   }
   if (pool_->AvailableSince(wid) > r.time) {
     return Status::Internal(
-        StrFormat("%s violated the time constraint", matcher->name().c_str()));
+        StrFormat("%s violated the time constraint", source().c_str()));
+  }
+  if (is_outer &&
+      (!(decision.outer_payment > 0.0) ||
+       decision.outer_payment > r.value + 1e-9)) {
+    return Status::Internal(
+        StrFormat("%s quoted outer payment %.4f outside (0, v=%.4f]",
+                  source().c_str(), decision.outer_payment, r.value));
   }
 
-  Assignment a;
-  a.request = r.id;
-  a.worker = wid;
-  a.is_outer = is_outer;
+  // Eq. 1: an inner match books v_r, an outer one v_r - v'_r.
+  booked->request = r.id;
+  booked->worker = wid;
+  booked->is_outer = is_outer;
   if (is_outer) {
     const double payment = decision.outer_payment;
-    if (!(payment > 0.0) || payment > r.value + 1e-9) {
-      return Status::Internal(
-          StrFormat("%s quoted outer payment %.4f outside (0, v=%.4f]",
-                    matcher->name().c_str(), payment, r.value));
-    }
-    a.outer_payment = payment;
-    a.revenue = r.value - payment;
+    booked->outer_payment = payment;
+    booked->revenue = r.value - payment;
     ++pm.completed_outer;
     pm.outer_payment_sum += payment;
     pm.payment_rate_sum += payment / r.value;
   } else {
-    a.outer_payment = 0.0;
-    a.revenue = r.value;
+    booked->revenue = r.value;
     ++pm.completed_inner;
   }
   ++pm.completed;
-  pm.revenue += a.revenue;
-  pm.total_pickup_km += pickup_km;
-  result_.matching.Add(a);
+  pm.revenue += booked->revenue;
+  pm.total_pickup_km += pickup;
+  result_.matching.Add(*booked);
+  *pickup_km = pickup;
 
   if (collect_) {
     const PlatformCounters& pc = counters_[static_cast<size_t>(r.platform)];
     (is_outer ? pc.outer : pc.inner)->Inc();
   }
-  const fault::RequestFaultInfo finfo =
-      fault_session_.has_value() ? fault_session_->TakeRequestInfo()
-                                 : fault::RequestFaultInfo{};
-  if (record != nullptr) {
-    record->outcome = static_cast<int8_t>(decision.kind);
-    record->worker = wid;
-    record->payment = a.outer_payment;
-    record->revenue = a.revenue;
-    record->pickup_km = pickup_km;
-    record->fault = finfo;
-  }
-  if (config_.trace != nullptr) {
-    obs::TraceEvent ev = MakeTraceEvent(decision_seq_++, r, decision);
-    ev.outcome = is_outer ? "outer" : "inner";
-    ev.worker = wid;
-    ev.payment = a.outer_payment;
-    ev.revenue = a.revenue;
-    ev.latency_ns = decide_nanos;
-    ev.fault_retries = finfo.retries;
-    ev.fault_failed_partners = finfo.failed_partners;
-    ev.fault_reserve_conflicts = finfo.reserve_conflicts;
-    ev.degraded = finfo.degraded;
-    config_.trace->Record(ev);
-  }
+  record_trace(is_outer ? "outer" : "inner");
 
-  {
-    COMX_SPAN("pool_commit");
-    COMX_RETURN_IF_ERROR(pool_->MarkOccupied(wid));
-    pool_meter_.Release(kPoolEntryBytes);
-    --available_workers_;
-    if (pool_gauge_ != nullptr) {
-      pool_gauge_->Set(static_cast<double>(available_workers_));
-    }
-
-    if (config_.workers_recycle) {
-      const double duration =
-          ServiceDurationSeconds(config_, pickup_km, r.value);
-      Event rearrival;
-      rearrival.time = r.time + duration;
-      rearrival.kind = EventKind::kWorkerArrival;
-      rearrival.entity_id = wid;
-      rearrival.sequence = dynamic_sequence_++;
-      drop_off_[static_cast<size_t>(wid)] = r.location;
-      dynamic_events_.push_back(rearrival);
-      std::push_heap(dynamic_events_.begin(), dynamic_events_.end(),
-                     EventGreater{});
-    }
+  COMX_SPAN("pool_commit");
+  COMX_RETURN_IF_ERROR(pool_->MarkOccupied(wid));
+  pool_meter_.Release(kPoolEntryBytes);
+  --available_workers_;
+  if (pool_gauge_ != nullptr) {
+    pool_gauge_->Set(static_cast<double>(available_workers_));
+  }
+  if (config_.workers_recycle) {
+    Event rearrival;
+    rearrival.time =
+        dispatch_time + ServiceDurationSeconds(config_, pickup, r.value);
+    rearrival.kind = EventKind::kWorkerArrival;
+    rearrival.entity_id = wid;
+    rearrival.sequence = dynamic_sequence_++;
+    drop_off_[static_cast<size_t>(wid)] = r.location;
+    dynamic_events_.push_back(rearrival);
+    std::push_heap(dynamic_events_.begin(), dynamic_events_.end(),
+                   EventGreater{});
   }
   return Status::OK();
 }

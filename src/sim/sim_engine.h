@@ -209,6 +209,22 @@ class SimEngine {
                             const Decision& decision,
                             StepRecord::BatchPlatformDelta* delta);
 
+  // The one commit path of every decision, online or batch: counts the
+  // outer offer, checks the runtime guards (worker id, occupancy,
+  // inner/outer label, range, time, payment in (0, v]), books Eq. 1
+  // revenue (Assignment, PlatformMetrics, counters), records the trace
+  // event, and takes the worker out of the pool with its recycle
+  // re-arrival scheduled from `dispatch_time` (the request's arrival
+  // online, the window close in batch). `matcher` names the decider in
+  // Internal errors (nullptr: the batch solver); `latency_ns` and `fault`
+  // only feed the trace event. On success `*booked` is the assignment
+  // (worker kInvalidId on a reject) and `*pickup_km` its pickup distance.
+  Status CommitDecision(const Request& r, const Decision& decision,
+                        Timestamp dispatch_time, const OnlineMatcher* matcher,
+                        int64_t latency_ns,
+                        const fault::RequestFaultInfo& fault,
+                        Assignment* booked, double* pickup_km);
+
   const Instance* instance_ = nullptr;
   std::vector<OnlineMatcher*> matchers_;
   SimConfig config_;

@@ -115,11 +115,6 @@ Result<SimResult> RunSimulation(const Instance& instance,
                                 const std::vector<OnlineMatcher*>& matchers,
                                 const SimConfig& config, uint64_t seed);
 
-/// Convenience: clones of a single matcher semantics — every platform uses
-/// the same policy object sequence. Provided as a factory callback so each
-/// platform gets an independent instance.
-using MatcherFactory = OnlineMatcher* (*)();
-
 /// Post-hoc audit used by tests: verifies that `result` is feasible for
 /// `instance` under `config` — every assignment respects the time, range,
 /// 1-by-1 (per availability episode) and revenue-accounting rules.

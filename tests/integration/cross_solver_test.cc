@@ -13,8 +13,8 @@
 #include "core/offline_opt.h"
 #include "core/ram_com.h"
 #include "core/tota_greedy.h"
+#include "core/window_greedy.h"
 #include "datagen/synthetic.h"
-#include "sim/batch_simulator.h"
 #include "sim/offline_schedule.h"
 #include "sim/simulator.h"
 
@@ -109,11 +109,11 @@ TEST_P(CrossSolverTest, BoundChainHolds) {
 
 TEST_P(CrossSolverTest, BatchStaysBelowRelaxedBound) {
   const Instance ins = TinyInstance(GetParam() + 50);
-  BatchConfig batch;
-  batch.window_seconds = 300.0;
-  batch.max_wait_windows = 300;  // effectively unlimited retries
-  batch.sim = ReservationSim(true);
-  auto result = RunBatchSimulation(ins, batch, 2);
+  SimConfig batch = ReservationSim(true);
+  batch.batch_mode = true;
+  batch.batch_window_seconds = 300.0;
+  WindowGreedy w0, w1;  // reset by batch mode, never consulted
+  auto result = RunSimulation(ins, {&w0, &w1}, batch, 2);
   ASSERT_TRUE(result.ok());
   // Batch pays MER prices (>= the reservation it clears), so its revenue
   // per cooperative pair is <= the relaxed bound's reservation pricing;

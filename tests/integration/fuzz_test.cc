@@ -14,7 +14,6 @@
 #include "core/ranking.h"
 #include "core/tota_greedy.h"
 #include "datagen/synthetic.h"
-#include "sim/batch_simulator.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -103,15 +102,17 @@ TEST_P(FuzzTest, RandomConfigsKeepAllInvariants) {
     EXPECT_EQ(result->matching.assignments.size(),
               static_cast<size_t>(agg.completed));
 
-    // Every other round also pushes the workload through the batch runner
-    // with a random window, checking the same identities.
+    // Every other round also pushes the workload through batch dispatch
+    // with a random window, checking the audit and the same identities.
     if (round % 2 == 0) {
-      BatchConfig batch;
-      batch.window_seconds = rng.Uniform(5.0, 900.0);
-      batch.max_wait_windows = static_cast<int32_t>(rng.UniformInt(1, 6));
-      batch.sim = sim;
-      auto batched = RunBatchSimulation(*instance, batch, rng.NextUint64());
+      SimConfig batch = sim;
+      batch.batch_mode = true;
+      batch.batch_window_seconds = rng.Uniform(5.0, 900.0);
+      auto batched =
+          RunSimulation(*instance, matchers, batch, rng.NextUint64());
       ASSERT_TRUE(batched.ok()) << batched.status();
+      ASSERT_TRUE(AuditSimResult(*instance, batch, *batched).ok())
+          << "batch round " << round;
       const PlatformMetrics bagg = batched->metrics.Aggregate();
       EXPECT_EQ(bagg.completed + bagg.rejected,
                 static_cast<int64_t>(instance->requests().size()));

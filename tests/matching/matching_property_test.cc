@@ -7,7 +7,7 @@
 #include "matching/greedy_offline.h"
 #include "matching/hopcroft_karp.h"
 #include "matching/hungarian.h"
-#include "matching/min_cost_flow.h"
+#include "matching/incremental_km.h"
 #include "util/rng.h"
 
 namespace comx {
@@ -37,14 +37,14 @@ TEST_P(MatcherPropertyTest, SolverOrderingsHold) {
   const BipartiteGraph g = RandomGraph(p.left, p.right, p.density, &rng);
 
   auto hung = HungarianMaxWeight(g);
-  auto flow = MinCostFlowMaxWeight(g);
+  auto km = IncrementalKmMaxWeight(g);
   ASSERT_TRUE(hung.ok());
-  ASSERT_TRUE(flow.ok());
+  ASSERT_TRUE(km.ok());
   const auto greedy = GreedyMaxWeight(g);
   const auto hk = HopcroftKarpMaxCardinality(g);
 
   // Exact solvers agree.
-  EXPECT_NEAR(hung->total_weight, flow->total_weight, 1e-6);
+  EXPECT_NEAR(hung->total_weight, km->total_weight, 1e-6);
   // Greedy is sandwiched between half-opt and opt.
   EXPECT_GE(greedy.total_weight + 1e-9, 0.5 * hung->total_weight);
   EXPECT_LE(greedy.total_weight, hung->total_weight + 1e-9);
@@ -57,7 +57,7 @@ TEST_P(MatcherPropertyTest, SolverOrderingsHold) {
   EXPECT_LE(greedy.size, hk.size);
   // All matchings structurally valid.
   EXPECT_TRUE(g.ValidateMatching(hung->match_of_left, nullptr).ok());
-  EXPECT_TRUE(g.ValidateMatching(flow->match_of_left, nullptr).ok());
+  EXPECT_TRUE(g.ValidateMatching(km->match_of_left, nullptr).ok());
   EXPECT_TRUE(g.ValidateMatching(greedy.match_of_left, nullptr).ok());
   EXPECT_TRUE(g.ValidateMatching(hk.match_of_left, nullptr).ok());
 }

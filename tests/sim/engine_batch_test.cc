@@ -1,6 +1,7 @@
 // Batch-mode engine tests: the window=0 differential guarantee (bit
 // identity with the online WindowGreedy matcher), windowed feasibility
-// under AuditSimResult, determinism, and the mode's refusal surface.
+// under AuditSimResult with waits bounded by the window, determinism, the
+// paper example served in full, and the mode's refusal surface.
 
 #include <cmath>
 #include <limits>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/window_greedy.h"
+#include "datagen/synthetic.h"
 #include "fault/fault_plan.h"
 #include "sim/sim_engine.h"
 #include "sim/simulator.h"
@@ -120,6 +122,8 @@ TEST(EngineBatchTest, WindowedRunsPassTheAuditAcrossAlgos) {
       config.batch_window_seconds = 30.0;
       config.batch.algo = algo;
       config.workers_recycle = (seed % 2) == 0;
+      // Batch mode records the simulated wait (window close - arrival).
+      config.measure_response_time = true;
       WindowGreedy g0, g1;
       auto result = RunSimulation(ins, {&g0, &g1}, config, seed);
       ASSERT_TRUE(result.ok())
@@ -128,6 +132,12 @@ TEST(EngineBatchTest, WindowedRunsPassTheAuditAcrossAlgos) {
       EXPECT_TRUE(AuditSimResult(ins, config, *result).ok())
           << AuditSimResult(ins, config, *result).message() << " algo "
           << BatchAlgoName(algo) << " seed " << seed;
+      // Nobody waits longer than one window: every request is decided at
+      // the close of the window it arrived in.
+      const auto wait_us = result->metrics.Aggregate().response_time_us;
+      EXPECT_GE(wait_us.min(), 0.0);
+      EXPECT_LE(wait_us.max(), config.batch_window_seconds * 1e6 + 1.0)
+          << " algo " << BatchAlgoName(algo) << " seed " << seed;
     }
   }
 }
@@ -176,6 +186,50 @@ TEST(EngineBatchTest, StepRecordsAccountForEveryRequest) {
   EXPECT_GT(flushes, 1);  // the paper example spans several 4s windows
   const SimResult result = engine.Finish();
   EXPECT_TRUE(AuditSimResult(ins, config, result).ok());
+}
+
+// The batch dispatcher's end-to-end cases, run on engine batch mode.
+TEST(BatchSimulatorTest, ServesPaperExampleCompletely) {
+  // With 4-second windows and borrowing, every request is matched; the
+  // single-step outer histories give MER payments exactly at the step, so
+  // acceptance is sure.
+  const Instance ins = PaperExample();
+  SimConfig config = BaseConfig();
+  config.batch_mode = true;
+  config.batch_window_seconds = 4.0;
+  config.workers_recycle = false;
+  WindowGreedy g0, g1;
+  auto r = RunSimulation(ins, {&g0, &g1}, config, 1);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(AuditSimResult(ins, config, *r).ok());
+  const PlatformMetrics agg = r->metrics.Aggregate();
+  EXPECT_EQ(agg.completed, 5);
+  EXPECT_EQ(agg.completed_outer, 2);
+  // Revenue equals the offline COM optimum here: 21 (Fig. 3(c)).
+  EXPECT_DOUBLE_EQ(agg.revenue, 21.0);
+}
+
+TEST(BatchSimulatorTest, LatencyBoundedByWaitWindows) {
+  SyntheticConfig synthetic;
+  synthetic.requests_per_platform = {100};
+  synthetic.workers_per_platform = {25};
+  synthetic.seed = 33;
+  auto ins = GenerateSynthetic(synthetic);
+  ASSERT_TRUE(ins.ok());
+  SimConfig config;
+  config.batch_mode = true;
+  config.batch_window_seconds = 120.0;
+  // Batch mode records the simulated wait (window close - arrival).
+  config.measure_response_time = true;
+  WindowGreedy g0, g1;
+  auto r = RunSimulation(*ins, {&g0, &g1}, config, 4);
+  ASSERT_TRUE(r.ok()) << r.status();
+  const PlatformMetrics agg = r->metrics.Aggregate();
+  EXPECT_GT(agg.completed, 0);
+  // Every request is decided at the close of the window it arrived in.
+  EXPECT_LE(agg.response_time_us.max(),
+            config.batch_window_seconds * 1e6 + 1.0);
+  EXPECT_GE(agg.response_time_us.min(), 0.0);
 }
 
 TEST(EngineBatchTest, InitRefusesFaultPlans) {

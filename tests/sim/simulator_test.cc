@@ -1,5 +1,10 @@
 #include "sim/simulator.h"
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/dem_com.h"
@@ -33,6 +38,89 @@ TEST(SimulatorTest, RejectsNullMatcher) {
   TotaGreedy t;
   auto r = RunSimulation(ins, {&t, nullptr}, NoRecycle(), 1);
   EXPECT_FALSE(r.ok());
+}
+
+TEST(SimulatorTest, RejectsNonPhysicalServiceParameters) {
+  const Instance ins = PaperExample();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  struct Row {
+    double speed_kmh;
+    double base_service_seconds;
+    double service_seconds_per_value;
+  };
+  for (const Row& row : {Row{0.0, 300.0, 30.0}, Row{-30.0, 300.0, 30.0},
+                         Row{inf, 300.0, 30.0}, Row{nan, 300.0, 30.0},
+                         Row{30.0, -1.0, 30.0}, Row{30.0, inf, 30.0},
+                         Row{30.0, nan, 30.0}, Row{30.0, 300.0, -1.0},
+                         Row{30.0, 300.0, inf}, Row{30.0, 300.0, nan}}) {
+    SimConfig config = NoRecycle();
+    config.speed_kmh = row.speed_kmh;
+    config.base_service_seconds = row.base_service_seconds;
+    config.service_seconds_per_value = row.service_seconds_per_value;
+    TotaGreedy a, b;
+    auto r = RunSimulation(ins, {&a, &b}, config, 1);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << row.speed_kmh << " " << row.base_service_seconds << " "
+        << row.service_seconds_per_value;
+  }
+}
+
+// Returns one scripted decision for every request, feasible or not.
+class RogueMatcher : public OnlineMatcher {
+ public:
+  explicit RogueMatcher(Decision decision) : decision_(std::move(decision)) {}
+  void Reset(const Instance&, PlatformId, uint64_t) override {}
+  Decision OnRequest(const Request&, const PlatformView&) override {
+    return decision_;
+  }
+  std::string name() const override { return "Rogue"; }
+
+ private:
+  Decision decision_;
+};
+
+TEST(SimulatorTest, CommitGuardsRejectInfeasibleDecisions) {
+  // w0: inner, in range. w1: outer (platform 1), in range. w2: inner, far
+  // away. w3: inner, in range, arriving after r0's recorded time (below).
+  Instance ins;
+  ins.AddWorker(MakeWorker(0, 1.0, 0.0, 0.0, 1.0));
+  ins.AddWorker(MakeWorker(1, 1.0, 0.5, 0.0, 1.0, {3.0}));
+  ins.AddWorker(MakeWorker(0, 1.0, 50.0, 50.0, 1.0));
+  ins.AddWorker(MakeWorker(0, 1.5, 0.0, 0.0, 1.0));
+  ins.AddRequest(MakeRequest(0, 2.0, 0.0, 0.0, 5.0));  // r0, v = 5
+  ins.AddRequest(MakeRequest(0, 3.0, 0.0, 0.0, 5.0));  // r1
+  ins.BuildEvents();
+  // r0 is still dispatched at t = 2, after w3 arrived, but it now claims
+  // to have arrived at t = 1.2: only the time guard can catch w3.
+  ins.mutable_request(0)->time = 1.2;
+
+  struct Row {
+    const char* name;
+    Decision decision;
+    const char* message;
+  };
+  const Row rows[] = {
+      {"invalid worker id", Decision::Inner(99), "invalid worker id"},
+      // r0 takes w0, then r1 is handed the same (now busy) worker.
+      {"occupied worker", Decision::Inner(0), "occupied worker"},
+      {"wrong inner/outer label", Decision::Inner(1), "mislabelled"},
+      {"out of range", Decision::Inner(2), "range constraint"},
+      {"arrived after the request", Decision::Inner(3), "time constraint"},
+      {"outer payment 0", Decision::Outer(1, 0.0), "outer payment"},
+      {"outer payment above v", Decision::Outer(1, 6.0), "outer payment"},
+  };
+  for (const Row& row : rows) {
+    RogueMatcher rogue(row.decision);
+    TotaGreedy partner;
+    auto r = RunSimulation(ins, {&rogue, &partner}, NoRecycle(), 1);
+    ASSERT_FALSE(r.ok()) << row.name;
+    EXPECT_EQ(r.status().code(), StatusCode::kInternal) << row.name;
+    const std::string& message = r.status().message();
+    EXPECT_EQ(message.rfind("Rogue ", 0), 0u) << row.name << ": " << message;
+    EXPECT_NE(message.find(row.message), std::string::npos)
+        << row.name << ": " << message;
+  }
 }
 
 TEST(SimulatorTest, EmptyInstanceRuns) {

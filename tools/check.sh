@@ -26,12 +26,15 @@
 #                   profile validated by perf_report --check), then a
 #                   release closed-loop replay reproduced against the
 #                   committed BENCH_serve.json baseline via bench_check.
-##   9. batch      — the micro-batch dispatch suite: `ctest -L batch` under
+#   9. batch      — the micro-batch dispatch suite: `ctest -L batch` under
 #                   ASan (incremental KM differentials, window solver,
 #                   engine batch mode, batch oracles, window x solver
 #                   grid), then a release comx_fuzz --smoke --batch run
 #                   (every fault-free scenario additionally fuzzed
-#                   through the batch dispatcher).
+#                   through the batch dispatcher), and the two release
+#                   entry points built on engine batch mode:
+#                   bench_batch --seeds 1 (fails unless every batch run
+#                   passes AuditSimResult) and examples/roadnet_dispatch.
 #
 # Usage: tools/check.sh [extra ctest args...]
 #   tools/check.sh              # everything
@@ -156,13 +159,16 @@ else
 fi
 
 if [[ "${COMX_CHECK_SKIP_BATCH:-0}" != "1" ]]; then
-  echo "== stage 9/9: micro-batch suite (ctest -L batch, ASan) + batch fuzz =="
+  echo "== stage 9/9: micro-batch suite (ctest -L batch, ASan) + batch fuzz + bench_batch + roadnet_dispatch =="
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "${JOBS}" --target comx_batch_test
   ctest --preset asan-ubsan -j "${JOBS}" -L batch
   cmake --preset release
-  cmake --build --preset release -j "${JOBS}" --target comx_fuzz
+  cmake --build --preset release -j "${JOBS}" \
+    --target comx_fuzz bench_batch roadnet_dispatch
   ./build/tools/comx_fuzz --smoke --batch
+  ./build/bench/bench_batch --seeds 1
+  ./build/examples/roadnet_dispatch
 else
   echo "== stage 9/9: skipped (COMX_CHECK_SKIP_BATCH=1) =="
 fi
