@@ -5,7 +5,9 @@
 // replaced, and emits one flat JSON record per (op, path, size). Two more
 // rows time the ECDF kernels' pricing callers — RamCOM's MER quote
 // (pricing/mer_pricer.h) and DemCOM's Algorithm 2 estimate
-// (pricing/min_payment_estimator.h) — and gate their output bits.
+// (pricing/min_payment_estimator.h) — and gate their output bits. One row
+// times the simulator's candidate lookup (sim/worker_pool.h) on a full
+// synthetic day and gates the returned ids.
 //
 // Deterministic fields — "checksum" (fixed-order sum over seeded inputs),
 // "n", "survivors" — are identical on every host and backend (the kernel
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "common.h"
+#include "datagen/synthetic.h"
 #include "exp/bench_record.h"
 #include "geo/distance.h"
 #include "kernels/dispatch.h"
@@ -38,6 +41,7 @@
 #include "pricing/history.h"
 #include "pricing/mer_pricer.h"
 #include "pricing/min_payment_estimator.h"
+#include "sim/worker_pool.h"
 #include "util/memory_meter.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -403,6 +407,76 @@ int main(int argc, char** argv) {
                 estimate_row.record.name.c_str(),
                 estimate_row.record.numbers["wall_ns_per_estimate"]);
     records.push_back(std::move(estimate_row.record));
+  }
+
+  // -- sim: WorkerPool::FeasibleWorkers, the candidate lookup behind every
+  // online decision, on the R20k/W4k synthetic day (`comx_cli gen
+  // --requests 20000 --workers 4000 --seed 2020`: 2 platforms, per-platform
+  // counts). Every worker arrives at its start point; a seeded 30% are then
+  // occupied and half of those re-arrive at a seeded request's location and
+  // time (the recycle path). The pass is every request's inner and outer
+  // lookup against that fixed pool. The gate field folds every returned id,
+  // in order, into a 53-bit FNV-1a hash, so a change to any candidate set or
+  // its order shows; wall_ns_per_lookup is informational. --
+  {
+    SyntheticConfig day_config;
+    day_config.requests_per_platform = {20000};
+    day_config.workers_per_platform = {4000};
+    day_config.seed = 2020;
+    Result<Instance> day = GenerateSynthetic(day_config);
+    if (!day.ok()) {
+      std::fprintf(stderr, "sim.feasible_workers: %s\n",
+                   day.status().ToString().c_str());
+      return 1;
+    }
+    const Instance& ins = *day;
+    WorkerPool pool(ins);
+    Rng pool_rng(2020);
+    Status built = Status::OK();
+    for (const Worker& w : ins.workers()) {
+      if (built.ok()) built = pool.OnArrival(w.id, w.location, w.time);
+    }
+    const int64_t last_request = static_cast<int64_t>(ins.requests().size()) - 1;
+    for (const Worker& w : ins.workers()) {
+      if (!built.ok() || pool_rng.Uniform(0.0, 1.0) >= 0.3) continue;
+      built = pool.MarkOccupied(w.id);
+      if (built.ok() && pool_rng.Uniform(0.0, 1.0) < 0.5) {
+        const Request& r = ins.request(pool_rng.UniformInt(0, last_request));
+        built = pool.OnArrival(w.id, r.location, r.time);
+      }
+    }
+    if (!built.ok()) {
+      std::fprintf(stderr, "sim.feasible_workers: %s\n",
+                   built.ToString().c_str());
+      return 1;
+    }
+    const size_t lookups = 2 * ins.requests().size();
+    const auto lookup_pass = [&] {
+      for (const Request& r : ins.requests()) {
+        g_sink += static_cast<double>(
+            pool.FeasibleWorkers(r, r.platform, true).size() +
+            pool.FeasibleWorkers(r, r.platform, false).size());
+      }
+    };
+    uint64_t lookup_hash = 0xcbf29ce484222325ULL;
+    for (const Request& r : ins.requests()) {
+      for (const bool inner : {true, false}) {
+        for (const WorkerId id : pool.FeasibleWorkers(r, r.platform, inner)) {
+          lookup_hash =
+              (lookup_hash ^ static_cast<uint64_t>(id)) * 0x100000001b3ULL;
+        }
+        // Separator, so ids cannot shift between adjacent lookups unseen.
+        lookup_hash = (lookup_hash ^ ~0ULL) * 0x100000001b3ULL;
+      }
+    }
+    Row row = TimeRow("sim.feasible_workers", lookups,
+                      static_cast<double>(lookup_hash >> 11), lookup_pass,
+                      lookups, reps);
+    row.record.numbers["wall_ns_per_lookup"] =
+        row.secs_per_pass / static_cast<double>(lookups) * 1e9;
+    std::printf("  %-40s %8.1f ns/lookup\n", row.record.name.c_str(),
+                row.record.numbers["wall_ns_per_lookup"]);
+    records.push_back(std::move(row.record));
   }
 
   // -- observability: ScopedSpan record cost (budget: < 50 ns/record on the

@@ -1,10 +1,15 @@
 // Uniform-grid spatial index mapping int64 ids to points.
 //
-// The online matchers repeatedly ask "which unoccupied workers cover this
-// request location?" — a radius query around the request against the centres
-// of worker service circles. A uniform grid with cell size close to the
-// typical radius answers these in near-constant time on city-scale data and
-// supports O(1) insert/remove as workers arrive and get matched.
+// A hashed grid over an unbounded plane with O(1) insert/remove and
+// near-constant-time radius probes when the cell size is close to the
+// query radius. Its users are the paths that index a fixed point set once
+// and probe it many times:
+//   - roadnet/RoadGraph snaps planar points to road nodes (snap_index_);
+//   - core/SolveOffline builds the offline bipartite graph (worker-covers-
+//     request edges).
+// The simulator's candidate lookup does not use it: sim/WorkerPool keeps a
+// per-platform dense grid of its own (see worker_pool.h), and its
+// differential test keeps a GridIndex lookup as the referee.
 //
 // Cell buckets are stored SoA (parallel id / x / y arrays), so a radius
 // probe scores a whole bucket with one batched kernel call

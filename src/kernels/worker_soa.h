@@ -1,6 +1,6 @@
 // Structure-of-arrays mirror of the live worker set, maintained
 // incrementally alongside sim/WorkerPool. The matchers' hot path reads
-// contiguous coordinate / radius² / platform / availability arrays instead
+// contiguous coordinate / radius² / availability arrays instead
 // of pointer-chasing AoS Worker records (whose inline history vectors make
 // each record cache-hostile), and the batched kernels gather straight from
 // these arrays. The value-history summary half of the mirror lives in
@@ -16,21 +16,20 @@
 namespace comx {
 namespace kernels {
 
-/// Dense per-worker arrays indexed by worker id. Static fields (radius²,
-/// platform) are set once at build; dynamic fields (position, availability
+/// Dense per-worker arrays indexed by worker id. The static field
+/// (radius²) is set once at build; dynamic fields (position, availability
 /// episode) change on arrival / occupation events.
 class WorkerSoA {
  public:
   /// Sizes every array for `n` workers (all unavailable).
   void Reset(size_t n);
 
-  /// Static per-worker attributes. `radius_km` is squared once here so the
+  /// Static per-worker attribute. `radius_km` is squared once here so the
   /// range test in the scan loop is a single compare against a cached
   /// product — the same radius*radius value the AoS path multiplied per
   /// probe.
-  void SetStatic(size_t i, double radius_km, int32_t platform) {
+  void SetStatic(size_t i, double radius_km) {
     radius2_[i] = radius_km * radius_km;
-    platform_[i] = platform;
   }
 
   /// Worker `i` becomes available at (x, y) from `since` on.
@@ -56,7 +55,6 @@ class WorkerSoA {
   const double* x() const { return x_.data(); }
   const double* y() const { return y_.data(); }
   const double* radius2() const { return radius2_.data(); }
-  const int32_t* platform() const { return platform_.data(); }
   const double* available_since() const { return available_since_.data(); }
   const uint8_t* available() const { return available_.data(); }
 
@@ -74,7 +72,6 @@ class WorkerSoA {
  private:
   std::vector<double> x_, y_;
   std::vector<double> radius2_;
-  std::vector<int32_t> platform_;
   std::vector<double> available_since_;
   std::vector<uint8_t> available_;
 };

@@ -847,8 +847,9 @@ Status SimEngine::SaveState(ByteWriter* out) const {
   // Pool availability: id, current location, available-since for every
   // available worker. Occupied workers carry no live state the simulation
   // ever reads again (their next OnArrival overwrites everything), so
-  // replaying these arrivals into a fresh pool rebuilds the grid index and
-  // SoA mirror exactly.
+  // replaying these arrivals into a fresh pool rebuilds the SoA mirror
+  // exactly and the grid up to the order inside a cell, which lookups never
+  // expose (they return ids in ascending order).
   const kernels::WorkerSoA& soa = pool_->soa();
   uint64_t avail = 0;
   for (size_t w = 0; w < soa.size(); ++w) {

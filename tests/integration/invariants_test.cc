@@ -96,8 +96,6 @@ TEST_P(InvariantSweep, RamCom) {
 }
 
 TEST_P(InvariantSweep, OfflineSolversAgreeOnSmallInstances) {
-  const SweepCase& c = GetParam();
-  if (c.requests > 200) GTEST_SKIP() << "exact solvers only on small cases";
   const Instance ins = MakeInstance(104);
   OfflineConfig dense;
   dense.dense_cell_limit = 1'000'000'000;  // force Hungarian
