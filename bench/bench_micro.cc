@@ -9,9 +9,8 @@
 #include "core/tota_greedy.h"
 #include "datagen/synthetic.h"
 #include "geo/grid_index.h"
-#include "matching/auction.h"
 #include "matching/greedy_offline.h"
-#include "matching/hungarian.h"
+#include "matching/incremental_km.h"
 #include "model/constraints.h"
 #include "pricing/mer_pricer.h"
 #include "pricing/min_payment_estimator.h"
@@ -72,15 +71,15 @@ BipartiteGraph RandomGraph(int32_t left, int32_t right, double density,
   return g;
 }
 
-void BM_Hungarian(benchmark::State& state) {
+void BM_IncrementalKm(benchmark::State& state) {
   const int32_t n = static_cast<int32_t>(state.range(0));
   const BipartiteGraph g = RandomGraph(n, n, 0.2, 3);
   for (auto _ : state) {
-    auto m = HungarianMaxWeight(g);
+    auto m = IncrementalKmMaxWeight(g);
     benchmark::DoNotOptimize(m);
   }
 }
-BENCHMARK(BM_Hungarian)->Arg(50)->Arg(100)->Arg(200);
+BENCHMARK(BM_IncrementalKm)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_GreedyOffline(benchmark::State& state) {
   const int32_t n = static_cast<int32_t>(state.range(0));
@@ -91,16 +90,6 @@ void BM_GreedyOffline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyOffline)->Arg(400)->Arg(1000)->Arg(4000);
-
-void BM_Auction(benchmark::State& state) {
-  const int32_t n = static_cast<int32_t>(state.range(0));
-  const BipartiteGraph g = RandomGraph(n, n, 0.05, 9);
-  for (auto _ : state) {
-    auto m = AuctionMaxWeight(g);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_Auction)->Arg(100)->Arg(400)->Arg(1000);
 
 struct PricingFixture {
   Instance instance;

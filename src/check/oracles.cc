@@ -453,9 +453,9 @@ std::vector<OracleViolation> CheckDifferentialOracles(
     }
 
     // Sparse-vs-dense solver differential on the same offline graph: the
-    // incremental Kuhn-Munkres (the engine behind 100k-scale OFF rows)
-    // must reproduce the dense Hungarian optimum on every instance small
-    // enough for the dense solver.
+    // incremental Kuhn-Munkres (the engine behind every OFF solve) must
+    // reproduce the dense Hungarian referee's optimum on every instance
+    // small enough for the dense solver.
     {
       OfflineConfig graph_config = off;
       std::vector<RequestId> request_ids;

@@ -5,10 +5,10 @@
 // Eq. 1 revenue accounting, re-accumulated bit-exactly); the policy oracles
 // check matcher-specific contracts from the decision trace (DemCOM's
 // inner-first rule, TOTA's no-borrowing, RamCOM's e^k threshold set); the
-// differential oracles compare against OFF — exact Hungarian on the shared
-// offline graph, cross-checked by the exhaustive brute force on tiny
-// instances, and an upper bound on every online matcher in the
-// reservation-mode regime.
+// differential oracles compare against OFF — exact incremental KM on the
+// shared offline graph, refereed by the dense Hungarian and, on tiny
+// instances, by the exhaustive brute force — and OFF is an upper bound on
+// every online matcher in the reservation-mode regime.
 //
 // Oracles return violations, not asserts, so the fuzz driver can shrink a
 // failing scenario and tests can make precise claims about what fired.

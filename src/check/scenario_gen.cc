@@ -201,10 +201,9 @@ Scenario DrawScenario(uint64_t base_seed, uint64_t index) {
   s.batch_window_seconds =
       rng.Bernoulli(0.15) ? 0.0 : rng.Uniform(5.0, 120.0);
   {
-    constexpr BatchAlgo kAlgos[] = {BatchAlgo::kAuto, BatchAlgo::kGreedy,
-                                    BatchAlgo::kHungarian,
+    constexpr BatchAlgo kAlgos[] = {BatchAlgo::kGreedy,
                                     BatchAlgo::kIncrementalKm};
-    s.batch_algo = kAlgos[rng.UniformInt(0, 3)];
+    s.batch_algo = kAlgos[rng.UniformInt(0, 1)];
   }
   return s;
 }

@@ -78,7 +78,7 @@ struct Scenario {
   // MakeSimConfig(trace, /*batch=*/true). Drawn after every legacy field so
   // pre-batch scenario streams replay unchanged.
   double batch_window_seconds = 30.0;
-  BatchAlgo batch_algo = BatchAlgo::kAuto;
+  BatchAlgo batch_algo = BatchAlgo::kIncrementalKm;
 
   /// True when the scenario was drawn in the reservation-mode regime where
   /// OFF with the same rho seed is a hard upper bound on every online

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <unordered_map>
 
 #include "geo/grid_index.h"
-#include "matching/hungarian.h"
 #include "matching/incremental_km.h"
 #include "model/constraints.h"
 #include "pricing/acceptance_model.h"
@@ -197,45 +195,25 @@ Result<OfflineSolution> SolveOffline(const Instance& instance,
   OfflineSolution solution;
   solution.edge_count = static_cast<int64_t>(graph.edges().size());
 
-  BipartiteMatching matched;
-  const int64_t cells = static_cast<int64_t>(graph.left_count()) *
-                        static_cast<int64_t>(graph.right_count());
-  if (cells <= config.dense_cell_limit) {
-    COMX_ASSIGN_OR_RETURN(matched, HungarianMaxWeight(graph));
-    solution.solver = "hungarian";
-  } else {
-    // Exact at any scale: the incremental KM touches only the grid-pruned
-    // candidate edges, so the 100k-request OFF rows (and hence the
-    // empirical CR curves) need no approximate solver.
-    COMX_ASSIGN_OR_RETURN(matched, IncrementalKmMaxWeight(graph));
-    solution.solver = "incremental_km";
-  }
-
-  // Recover per-pair payment/weight: keep the best-weight edge per pair,
-  // matching what every solver credits.
-  std::unordered_map<int64_t, std::pair<double, double>> best;  // w, payment
-  best.reserve(graph.edges().size());
-  for (size_t ei = 0; ei < graph.edges().size(); ++ei) {
-    const BipartiteEdge& e = graph.edges()[ei];
-    const int64_t key = (static_cast<int64_t>(e.left) << 32) | e.right;
-    auto [it, inserted] =
-        best.try_emplace(key, e.weight, edge_payments[ei]);
-    if (!inserted && e.weight > it->second.first) {
-      it->second = {e.weight, edge_payments[ei]};
-    }
-  }
+  // Exact at any scale: the incremental KM touches only the grid-pruned
+  // candidate edges, so the 100k-request OFF rows (and hence the empirical
+  // CR curves) need no approximate solver.
+  COMX_ASSIGN_OR_RETURN(const BipartiteMatching matched,
+                        IncrementalKmMaxWeight(graph));
+  solution.solver = "incremental_km";
 
   for (int32_t l = 0; l < graph.left_count(); ++l) {
     const int32_t w = matched.match_of_left[static_cast<size_t>(l)];
     if (w < 0) continue;
-    const int64_t key = (static_cast<int64_t>(l) << 32) | w;
-    const auto& [weight, payment] = best.at(key);
+    // The credited edge of the pair carries its weight and payment.
+    COMX_ASSIGN_OR_RETURN(const int32_t ei, graph.BestEdge(l, w));
+    const size_t edge = static_cast<size_t>(ei);
     Assignment a;
     a.request = request_ids[static_cast<size_t>(l)];
     a.worker = static_cast<WorkerId>(w);
     a.is_outer = instance.worker(a.worker).platform != target;
-    a.outer_payment = payment;
-    a.revenue = weight;
+    a.outer_payment = edge_payments[edge];
+    a.revenue = graph.edges()[edge].weight;
     solution.matching.Add(a);
   }
   return solution;

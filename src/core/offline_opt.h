@@ -11,10 +11,10 @@
 // model the online algorithms estimate.
 //
 // Solver selection: with `worker_capacity` 1 (the strict 1-by-1 constraint)
-// the matching is solved exactly, by the dense Hungarian for small graphs
-// and the sparse incremental Kuhn–Munkres beyond `dense_cell_limit` cells.
-// `worker_capacity` > 1 models workers that recycle during the horizon and
-// takes the relaxed day-scale bound (see OfflineConfig::worker_capacity).
+// the matching is solved exactly, at every size, by the sparse incremental
+// Kuhn–Munkres (matching/incremental_km.h). `worker_capacity` > 1 models
+// workers that recycle during the horizon and takes the relaxed day-scale
+// bound (see OfflineConfig::worker_capacity).
 
 #ifndef COMX_CORE_OFFLINE_OPT_H_
 #define COMX_CORE_OFFLINE_OPT_H_
@@ -32,9 +32,6 @@ namespace comx {
 
 /// Tuning for the offline solver.
 struct OfflineConfig {
-  /// Capacity 1: use dense Hungarian when |R_target| * |W| <= this, the
-  /// sparse incremental Kuhn–Munkres otherwise (both exact).
-  int64_t dense_cell_limit = 1'000'000;
   /// Service slots per worker, >= 1. 1 is the strict 1-by-1 constraint of
   /// Def. 2.6. > 1 models the paper's recycled workers on day-scale
   /// datasets and also drops the range constraint: recycled workers
@@ -58,7 +55,7 @@ struct OfflineConfig {
 /// An offline solution for one target platform.
 struct OfflineSolution {
   Matching matching;
-  /// "hungarian", "incremental_km", or "relaxed".
+  /// "incremental_km" (capacity 1) or "relaxed" (capacity > 1).
   std::string solver;
   /// Number of candidate edges considered (0 for the relaxed solver,
   /// which never materializes a graph).

@@ -17,7 +17,7 @@ namespace {
 /// (window = 0), cells 1.. the (window, algo) grid in windows-major order.
 struct Cell {
   double window_seconds = 0.0;
-  BatchAlgo algo = BatchAlgo::kAuto;
+  BatchAlgo algo = BatchAlgo::kIncrementalKm;
 };
 
 struct CellSummary {

@@ -30,7 +30,7 @@ namespace exp {
 /// One (window, algo) cell of the grid, averaged over the seeds.
 struct BatchGridRow {
   double window_seconds = 0.0;
-  BatchAlgo algo = BatchAlgo::kAuto;
+  BatchAlgo algo = BatchAlgo::kIncrementalKm;
   /// Mean total revenue across seeds (seed-order accumulation).
   double revenue = 0.0;
   /// Mean total revenue of the online (window = 0) baseline, same seeds.
@@ -55,8 +55,7 @@ struct BatchGridConfig {
   /// Window lengths to sweep. 0 = per-request dispatch (the baseline).
   std::vector<double> windows = {0.0, 15.0, 30.0, 60.0, 120.0};
   /// Window solvers to cross with the windows.
-  std::vector<BatchAlgo> algos = {BatchAlgo::kAuto,
-                                  BatchAlgo::kIncrementalKm};
+  std::vector<BatchAlgo> algos = {BatchAlgo::kIncrementalKm};
   /// Worker threads (sweep-runner semantics); 0 = hardware concurrency.
   int jobs = 1;
   /// Optional caller-owned pool shared across sweeps (overrides `jobs`).

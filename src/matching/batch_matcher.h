@@ -1,10 +1,10 @@
 // Micro-batch window solver (ROADMAP item 3a): each virtual-time window's
 // pending requests form a small bipartite assignment problem over the idle
-// workers, solved by a pluggable algorithm. The matcher is stateful so the
-// incremental-KM backend can warm-start each window's column potentials
-// from the duals a worker earned in the previous window — workers that stay
-// idle keep their price, which is what makes consecutive near-identical
-// windows cheap.
+// workers, solved exactly by incremental Kuhn–Munkres or heuristically by
+// greedy. The matcher is stateful so the incremental-KM backend can
+// warm-start each window's column potentials from the duals a worker earned
+// in the previous window — workers that stay idle keep their price, which
+// is what makes consecutive near-identical windows cheap.
 //
 // SimEngine's batch mode routes its window solves through this class;
 // src/exp sweeps the window-size × algorithm grid (exp/batch_grid.h).
@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "matching/auction.h"
 #include "matching/bipartite_graph.h"
 #include "matching/incremental_km.h"
 #include "model/ids.h"
@@ -26,17 +25,14 @@ namespace comx {
 
 /// Window assignment backend.
 enum class BatchAlgo : int32_t {
-  /// Size-routed: dense Hungarian for small windows, greedy beyond
-  /// auto_dense_cell_limit cells.
-  kAuto = 0,
-  kGreedy = 1,
-  kHungarian = 2,
-  kAuction = 3,
-  /// Warm-started incremental Kuhn–Munkres with per-worker dual carryover.
-  kIncrementalKm = 4,
+  /// Heaviest-edge-first greedy (matching/greedy_offline.h).
+  kGreedy = 0,
+  /// Warm-started incremental Kuhn–Munkres with per-worker dual carryover
+  /// (exact per window).
+  kIncrementalKm = 1,
 };
 
-/// "auto", "greedy", "hungarian", "auction", "incremental_km".
+/// "greedy", "incremental_km".
 const char* BatchAlgoName(BatchAlgo algo);
 
 /// Inverse of BatchAlgoName; errors with InvalidArgument on unknown names.
@@ -44,13 +40,7 @@ Result<BatchAlgo> ParseBatchAlgo(std::string_view name);
 
 /// Tuning for BatchMatcher.
 struct BatchMatchConfig {
-  BatchAlgo algo = BatchAlgo::kAuto;
-  /// kAuto switches from Hungarian to greedy above this many L×R cells.
-  int64_t auto_dense_cell_limit = 250'000;
-  /// Carry per-worker duals across windows (kIncrementalKm only).
-  bool warm_start = true;
-  /// Passed through when algo == kAuction.
-  AuctionConfig auction;
+  BatchAlgo algo = BatchAlgo::kIncrementalKm;
   /// Relaxation budget per window when algo == kIncrementalKm.
   IncrementalKuhnMunkres::Config km;
 };
@@ -69,11 +59,8 @@ class BatchMatcher {
       const BipartiteGraph& graph,
       const std::vector<WorkerId>& worker_of_column);
 
-  /// Backend that solved the last window ("hungarian", "greedy", ...).
-  const char* last_solver() const { return last_solver_; }
-
   /// Dual-feasibility gap of the last incremental-KM window (0 when the
-  /// last window used another backend). Any positive value is a bug; the
+  /// last window used greedy). Any positive value is a bug; the
   /// property suite asserts 0 after every warm-started window.
   double last_dual_gap() const { return last_dual_gap_; }
 
@@ -84,7 +71,6 @@ class BatchMatcher {
 
  private:
   BatchMatchConfig config_;
-  const char* last_solver_ = "none";
   double last_dual_gap_ = 0.0;
   std::unordered_map<WorkerId, double> worker_potential_;
 };

@@ -38,6 +38,24 @@ const std::vector<std::vector<int32_t>>& BipartiteGraph::LeftAdjacency()
   return left_adj_;
 }
 
+Result<int32_t> BipartiteGraph::BestEdge(int32_t left, int32_t right) const {
+  int32_t best = -1;
+  if (left >= 0 && left < left_count_) {
+    for (const int32_t ei : LeftAdjacency()[static_cast<size_t>(left)]) {
+      const BipartiteEdge& e = edges_[static_cast<size_t>(ei)];
+      if (e.right == right &&
+          (best < 0 || e.weight > edges_[static_cast<size_t>(best)].weight)) {
+        best = ei;
+      }
+    }
+  }
+  if (best < 0) {
+    return Status::FailedPrecondition(
+        StrFormat("pair (%d, %d) is not an edge", left, right));
+  }
+  return best;
+}
+
 Status BipartiteGraph::ValidateMatching(
     const std::vector<int32_t>& match_of_left, double* total_weight) const {
   if (static_cast<int32_t>(match_of_left.size()) != left_count_) {
@@ -45,7 +63,6 @@ Status BipartiteGraph::ValidateMatching(
   }
   std::vector<bool> right_used(static_cast<size_t>(right_count_), false);
   double total = 0.0;
-  const auto& adj = LeftAdjacency();
   for (int32_t l = 0; l < left_count_; ++l) {
     const int32_t r = match_of_left[static_cast<size_t>(l)];
     if (r < 0) continue;
@@ -57,22 +74,8 @@ Status BipartiteGraph::ValidateMatching(
           StrFormat("right vertex %d matched twice", r));
     }
     right_used[static_cast<size_t>(r)] = true;
-    // Find the edge weight; matching must use an existing edge. When
-    // parallel edges exist, use the maximum weight (a matcher would).
-    bool found = false;
-    double best = 0.0;
-    for (int32_t ei : adj[static_cast<size_t>(l)]) {
-      if (edges_[static_cast<size_t>(ei)].right == r) {
-        best = found ? std::max(best, edges_[static_cast<size_t>(ei)].weight)
-                     : edges_[static_cast<size_t>(ei)].weight;
-        found = true;
-      }
-    }
-    if (!found) {
-      return Status::FailedPrecondition(
-          StrFormat("pair (%d, %d) is not an edge", l, r));
-    }
-    total += best;
+    COMX_ASSIGN_OR_RETURN(const int32_t ei, BestEdge(l, r));
+    total += edges_[static_cast<size_t>(ei)].weight;
   }
   if (total_weight != nullptr) *total_weight = total;
   return Status::OK();

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "model/ids.h"
+#include "util/result.h"
 #include "util/status.h"
 
 namespace comx {
@@ -47,9 +48,15 @@ class BipartiteGraph {
   /// repeatedly after the first call until the next AddEdge.
   const std::vector<std::vector<int32_t>>& LeftAdjacency() const;
 
+  /// Index into edges() of the edge a matcher credits for the matched pair
+  /// (left, right): the best-weight one, the first in insertion order on
+  /// ties. Scans `left`'s adjacency list. Errors with FailedPrecondition
+  /// when the pair is not an edge (or a vertex is out of range).
+  Result<int32_t> BestEdge(int32_t left, int32_t right) const;
+
   /// Sum of weights of a matching given as right-match-per-left
-  /// (-1 = unmatched). Errors when the matching references a non-edge or
-  /// matches one right vertex twice.
+  /// (-1 = unmatched), each pair credited with its BestEdge. Errors when
+  /// the matching references a non-edge or matches one right vertex twice.
   Status ValidateMatching(const std::vector<int32_t>& match_of_left,
                           double* total_weight) const;
 

@@ -1,8 +1,9 @@
 // Exact maximum-weight bipartite matching via the Hungarian algorithm
-// (Kuhn–Munkres with potentials, O(n^2 m) on the dense matrix). This is the
-// reference solver behind the paper's OFF baseline (Section II-B) for
-// instances small enough to densify; the sparse incremental Kuhn–Munkres
-// (incremental_km.h) handles larger graphs and cross-checks this one.
+// (Kuhn–Munkres with potentials, O(n^2 m) on the dense matrix). It is a
+// referee only: production code solves every exact assignment (OFF of
+// paper Section II-B, exact batch windows) with the sparse incremental
+// Kuhn–Munkres (incremental_km.h), and the oracles (check/oracles.cc) and
+// tests hold that solver to this one on graphs small enough to densify.
 
 #ifndef COMX_MATCHING_HUNGARIAN_H_
 #define COMX_MATCHING_HUNGARIAN_H_

@@ -237,15 +237,13 @@ BipartiteMatching IncrementalKuhnMunkres::Extract() const {
   return result;
 }
 
-Result<BipartiteMatching> IncrementalKmMaxWeight(
-    const BipartiteGraph& graph, IncrementalKmConfig config) {
+Status AddGraphRows(const BipartiteGraph& graph, IncrementalKuhnMunkres* km) {
   for (const BipartiteEdge& e : graph.edges()) {
     if (e.weight < 0.0) {
       return Status::InvalidArgument(
           StrFormat("negative edge weight %g", e.weight));
     }
   }
-  IncrementalKuhnMunkres km(graph.right_count(), config);
   const auto& adj = graph.LeftAdjacency();
   std::vector<IncrementalKuhnMunkres::RowEdge> row_edges;
   for (int32_t l = 0; l < graph.left_count(); ++l) {
@@ -254,9 +252,16 @@ Result<BipartiteMatching> IncrementalKmMaxWeight(
       const BipartiteEdge& e = graph.edges()[static_cast<size_t>(ei)];
       row_edges.push_back({e.right, e.weight});
     }
-    COMX_ASSIGN_OR_RETURN(const int32_t row, km.AddRow(row_edges));
+    COMX_ASSIGN_OR_RETURN(const int32_t row, km->AddRow(row_edges));
     (void)row;
   }
+  return Status::OK();
+}
+
+Result<BipartiteMatching> IncrementalKmMaxWeight(
+    const BipartiteGraph& graph, IncrementalKmConfig config) {
+  IncrementalKuhnMunkres km(graph.right_count(), config);
+  COMX_RETURN_IF_ERROR(AddGraphRows(graph, &km));
   return km.Extract();
 }
 

@@ -2,10 +2,11 @@
 // paths) for maximum-weight bipartite matching with free disposal. Rows
 // (requests) arrive one at a time; each AddRow runs a single Dijkstra over
 // reduced costs and augments, reusing the dual potentials built by all
-// previous rows. This is what lets the offline optimum OFF (paper
-// Section II-B) scale to 100k-request instances: the dense Hungarian solver
-// rebuilds an L×R matrix per solve, while this one touches only the
-// grid-pruned candidate edges of each arriving request.
+// previous rows. This is the one exact assignment solver behind the
+// offline optimum OFF (paper Section II-B) and every exact batch window: it
+// touches only the grid-pruned candidate edges of each arriving request,
+// so it scales to 100k-request instances where the dense Hungarian
+// referee (hungarian.h) would have to build an L×R matrix.
 //
 // Internally we solve the equivalent min-cost assignment on costs
 // c(i,j) = -w(i,j) with an explicit null sink T: every row may exit
@@ -131,11 +132,18 @@ class IncrementalKuhnMunkres {
   int64_t relax_ops_ = 0;
 };
 
-/// Convenience wrapper matching the HungarianMaxWeight contract: feeds the
-/// graph's left vertices through an IncrementalKuhnMunkres in index order.
-/// Requirements mirror the dense solver: every weight >= 0, parallel edges
-/// collapse to their maximum. Errors with InvalidArgument on negative
-/// weights and OutOfRange when the relaxation budget is exhausted.
+/// Feeds the graph's left vertices to `km` as rows, in index order, each
+/// with its edges in insertion order. Requires every weight >= 0 (checked
+/// up front, before any row is added) and
+/// km->column_count() == graph.right_count(). Errors with InvalidArgument
+/// on negative weights and propagates AddRow's errors.
+Status AddGraphRows(const BipartiteGraph& graph, IncrementalKuhnMunkres* km);
+
+/// Solves the whole graph from cold duals: AddGraphRows then Extract. The
+/// contract matches the dense HungarianMaxWeight referee: every weight
+/// >= 0, parallel edges collapse to their maximum. Errors with
+/// InvalidArgument on negative weights and OutOfRange when the relaxation
+/// budget is exhausted.
 Result<BipartiteMatching> IncrementalKmMaxWeight(
     const BipartiteGraph& graph, IncrementalKmConfig config = {});
 

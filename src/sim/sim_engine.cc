@@ -433,27 +433,17 @@ Status SimEngine::FlushPlatformWindow(PlatformId platform, Timestamp close,
                                                       worker_of_column));
   }
 
-  // Recover the chosen candidate per matched (request, worker) pair: the
-  // best-weight edge, matching what every backend credits.
-  std::unordered_map<int64_t, size_t> best;
-  best.reserve(candidates.size());
-  for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    const Candidate& c = candidates[ci];
-    const int64_t key = (static_cast<int64_t>(c.left) << 32) |
-                        column_of_worker.at(c.worker);
-    auto [it, inserted] = best.try_emplace(key, ci);
-    if (!inserted && c.weight > candidates[it->second].weight) {
-      it->second = ci;
-    }
-  }
-
   for (size_t i = 0; i < ids.size(); ++i) {
     const Request& r = instance_->request(ids[i]);
     const int32_t column = matched.match_of_left[i];
     Decision decision = Decision::Reject();
     if (column >= 0) {
-      const int64_t key = (static_cast<int64_t>(i) << 32) | column;
-      const Candidate& c = candidates[best.at(key)];
+      // Candidate k is edge k of the graph, so the pair's credited edge
+      // indexes `candidates` directly.
+      COMX_ASSIGN_OR_RETURN(
+          const int32_t edge,
+          graph.BestEdge(static_cast<int32_t>(i), column));
+      const Candidate& c = candidates[static_cast<size_t>(edge)];
       if (c.is_outer) {
         decision = Decision::Outer(c.worker, c.payment);
         decision.stats = stats[i];

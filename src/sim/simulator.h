@@ -80,7 +80,7 @@ struct SimConfig {
   /// window immediately — provably bit-identical to the WindowGreedy
   /// online matcher (see core/window_greedy.h).
   double batch_window_seconds = 30.0;
-  /// Window solver tuning (algorithm, warm start, budgets).
+  /// Window solver tuning (algorithm, relaxation budget).
   BatchMatchConfig batch;
   /// Optional prebuilt acceptance model. The model is a pure function of
   /// (instance, acceptance_mode, reservation_seed), so a seed grid over one

@@ -20,7 +20,7 @@ TEST(OfflineOptTest, PaperExampleTotaOptimum) {
   ASSERT_TRUE(sol.ok());
   EXPECT_DOUBLE_EQ(sol->matching.total_revenue, 18.0);
   EXPECT_EQ(sol->matching.size(), 3u);
-  EXPECT_EQ(sol->solver, "hungarian");
+  EXPECT_EQ(sol->solver, "incremental_km");
 }
 
 TEST(OfflineOptTest, PaperExampleComOptimum) {
@@ -30,6 +30,7 @@ TEST(OfflineOptTest, PaperExampleComOptimum) {
   ASSERT_TRUE(sol.ok());
   EXPECT_DOUBLE_EQ(sol->matching.total_revenue, 21.0);
   EXPECT_EQ(sol->matching.size(), 5u);
+  EXPECT_EQ(sol->solver, "incremental_km");
   int outer = 0;
   for (const Assignment& a : sol->matching.assignments) {
     if (a.is_outer) {
@@ -120,14 +121,14 @@ TEST(OfflineOptTest, RejectsCapacityBelowOne) {
   }
 }
 
+// Capacity-1 graphs of every size, this one-cell graph included, take the
+// incremental KM.
 TEST(OfflineOptTest, Capacity1BeyondDenseLimitUsesIncrementalKm) {
   Instance ins;
   ins.AddWorker(MakeWorker(0, 1, 0, 0, 2.0));
   ins.AddRequest(MakeRequest(0, 2, 0.5, 0, 5.0));
   ins.BuildEvents();
-  OfflineConfig config;
-  config.dense_cell_limit = 0;
-  auto sol = SolveOffline(ins, 0, config);
+  auto sol = SolveOffline(ins, 0, {});
   ASSERT_TRUE(sol.ok());
   EXPECT_EQ(sol->solver, "incremental_km");
   EXPECT_DOUBLE_EQ(sol->matching.total_revenue, 5.0);

@@ -41,12 +41,14 @@ TEST(PaperExampleTest, OfflineTotaOptimumIsEighteen) {
   auto sol = SolveOffline(PaperExample(), 0, config);
   ASSERT_TRUE(sol.ok());
   EXPECT_DOUBLE_EQ(sol->matching.total_revenue, 18.0);
+  EXPECT_EQ(sol->solver, "incremental_km");
 }
 
 TEST(PaperExampleTest, OfflineComOptimumIsTwentyOne) {
   auto sol = SolveOffline(PaperExample(), 0, {});
   ASSERT_TRUE(sol.ok());
   EXPECT_DOUBLE_EQ(sol->matching.total_revenue, 21.0);
+  EXPECT_EQ(sol->solver, "incremental_km");
 }
 
 TEST(PaperExampleTest, DemComNeverWorseThanTotaHere) {

@@ -28,7 +28,7 @@ BatchGridConfig SmallConfig(int jobs) {
   config.seeds = 3;
   config.jobs = jobs;
   config.windows = {0.0, 30.0, 120.0};
-  config.algos = {BatchAlgo::kAuto, BatchAlgo::kIncrementalKm};
+  config.algos = {BatchAlgo::kGreedy, BatchAlgo::kIncrementalKm};
   config.sim.workers_recycle = true;
   return config;
 }

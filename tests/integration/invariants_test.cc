@@ -3,6 +3,7 @@
 // accounting, whatever the seed.
 
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "core/ram_com.h"
 #include "core/tota_greedy.h"
 #include "datagen/synthetic.h"
+#include "matching/hungarian.h"
 #include "sim/simulator.h"
 
 namespace comx {
@@ -95,20 +97,24 @@ TEST_P(InvariantSweep, RamCom) {
   CheckMatcher<RamCom>(ins, 4);
 }
 
+// SolveOffline (incremental KM) against the dense Hungarian referee on the
+// very graph SolveOffline builds.
 TEST_P(InvariantSweep, OfflineSolversAgreeOnSmallInstances) {
   const Instance ins = MakeInstance(104);
-  OfflineConfig dense;
-  dense.dense_cell_limit = 1'000'000'000;  // force Hungarian
-  OfflineConfig sparse;
-  sparse.dense_cell_limit = 0;  // force the sparse incremental KM
+  const OfflineConfig config;
   for (PlatformId p = 0; p < 2; ++p) {
-    auto a = SolveOffline(ins, p, dense);
-    auto b = SolveOffline(ins, p, sparse);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->solver, "hungarian");
-    EXPECT_EQ(b->solver, "incremental_km");
-    EXPECT_NEAR(a->matching.total_revenue, b->matching.total_revenue, 1e-6);
+    auto solved = SolveOffline(ins, p, config);
+    ASSERT_TRUE(solved.ok());
+    EXPECT_EQ(solved->solver, "incremental_km");
+    std::vector<RequestId> request_ids;
+    std::vector<double> payments;
+    auto graph =
+        BuildOfflineGraph(ins, p, config, &request_ids, &payments);
+    ASSERT_TRUE(graph.ok());
+    auto referee = HungarianMaxWeight(*graph);
+    ASSERT_TRUE(referee.ok());
+    EXPECT_NEAR(solved->matching.total_revenue, referee->total_weight,
+                1e-6);
   }
 }
 

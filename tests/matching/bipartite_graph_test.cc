@@ -86,6 +86,32 @@ TEST(BipartiteGraphTest, ParallelEdgesUseMaxWeight) {
   EXPECT_DOUBLE_EQ(total, 5.0);
 }
 
+TEST(BipartiteGraphTest, BestEdgePicksHeaviestFirstOnTies) {
+  BipartiteGraph g(2, 2);
+  ASSERT_TRUE(g.AddEdge(0, 1, 2.0).ok());  // edge 0
+  ASSERT_TRUE(g.AddEdge(0, 0, 4.0).ok());  // edge 1
+  ASSERT_TRUE(g.AddEdge(0, 1, 7.0).ok());  // edge 2
+  ASSERT_TRUE(g.AddEdge(1, 1, 3.0).ok());  // edge 3
+  ASSERT_TRUE(g.AddEdge(0, 1, 7.0).ok());  // edge 4: ties edge 2
+  ASSERT_TRUE(g.AddEdge(1, 1, 3.0).ok());  // edge 5: ties edge 3
+  EXPECT_EQ(*g.BestEdge(0, 1), 2);
+  EXPECT_EQ(*g.BestEdge(0, 0), 1);
+  EXPECT_EQ(*g.BestEdge(1, 1), 3);
+}
+
+TEST(BipartiteGraphTest, BestEdgeRejectsNonEdges) {
+  BipartiteGraph g(2, 2);
+  ASSERT_TRUE(g.AddEdge(0, 0, 1.0).ok());
+  EXPECT_EQ(g.BestEdge(1, 0).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(g.BestEdge(0, 1).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(g.BestEdge(-1, 0).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(g.BestEdge(2, 0).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(BipartiteGraphTest, SummaryFormat) {
   BipartiteGraph g(2, 3);
   ASSERT_TRUE(g.AddEdge(0, 0, 1.0).ok());

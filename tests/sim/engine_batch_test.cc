@@ -112,8 +112,7 @@ TEST(EngineBatchTest, Window0BitIdenticalToWindowGreedyOver200Seeds) {
 }
 
 TEST(EngineBatchTest, WindowedRunsPassTheAuditAcrossAlgos) {
-  for (BatchAlgo algo : {BatchAlgo::kAuto, BatchAlgo::kGreedy,
-                         BatchAlgo::kHungarian, BatchAlgo::kIncrementalKm}) {
+  for (BatchAlgo algo : {BatchAlgo::kGreedy, BatchAlgo::kIncrementalKm}) {
     Rng rng(314);
     for (uint64_t seed = 0; seed < 20; ++seed) {
       const Instance ins = RandomInstance(&rng);

@@ -37,24 +37,6 @@ inline BipartiteGraph RandomGraph(int32_t left, int32_t right,
   return g;
 }
 
-// Random sparse bipartite graph with integer weights in [1, max_weight],
-// for the integer-exact auction differential tests.
-inline BipartiteGraph RandomIntegerGraph(int32_t left, int32_t right,
-                                         double edge_prob,
-                                         int64_t max_weight, Rng* rng) {
-  BipartiteGraph g(left, right);
-  for (int32_t l = 0; l < left; ++l) {
-    for (int32_t r = 0; r < right; ++r) {
-      if (rng->Bernoulli(edge_prob)) {
-        const Status s = g.AddEdge(
-            l, r, static_cast<double>(rng->UniformInt(1, max_weight)));
-        (void)s;
-      }
-    }
-  }
-  return g;
-}
-
 inline bool HasOracle(const std::vector<check::OracleViolation>& violations,
                       const std::string& slug) {
   for (const check::OracleViolation& v : violations) {

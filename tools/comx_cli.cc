@@ -27,7 +27,7 @@
 //                     (SimConfig::batch_mode); --batch-window sets the
 //                     window length (0 = per-request, bit-identical to the
 //                     window-greedy policy) and --batch-algo the window
-//                     solver (auto|greedy|hungarian|auction|incremental_km).
+//                     solver (incremental_km, the exact default, or greedy).
 //                     --trace-out records every first-seed decision as one
 //                     JSONL line (verify with trace_inspect); --metrics-out
 //                     dumps the metrics registry after the run;

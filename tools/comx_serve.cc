@@ -431,7 +431,9 @@ int Main(int argc, char** argv) {
   }
   // --algo batch serves micro-batch dispatch: requests queue inside their
   // virtual-time window and each shard solves windows as assignment
-  // problems. Incompatible with --wal-dir (shards refuse the combination).
+  // problems; --batch-algo picks the window solver (incremental_km, the
+  // exact default, or greedy). Incompatible with --wal-dir (shards refuse
+  // the combination).
   if (algo == "batch") {
     options.sim.batch_mode = true;
     options.sim.batch_window_seconds = DoubleFlag(
