@@ -35,26 +35,12 @@
 #include "util/string_util.h"
 #include "obs/metrics_registry.h"
 #include "obs/profiler.h"
+#include "util/flags.h"
 #include "util/memory_meter.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
-
-const char* ArgString(int argc, char** argv, const std::string& flag,
-                      const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (flag == argv[i]) return argv[i + 1];
-  }
-  return fallback;
-}
-
-bool ArgFlag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
 
 struct Workload {
   const char* label;
@@ -75,12 +61,16 @@ struct Workload {
 int main(int argc, char** argv) {
   using namespace comx;
 
-  const int jobs = static_cast<int>(bench::ArgInt(argc, argv, "--jobs", 1));
-  const int seeds = static_cast<int>(bench::ArgInt(argc, argv, "--seeds", 3));
-  const std::string out =
-      ArgString(argc, argv, "--out", "BENCH_sweep.json");
-  const bool quick = ArgFlag(argc, argv, "--quick");
-  const std::string perf_out = ArgString(argc, argv, "--perf-out", "");
+  Flags flags(argc, argv);
+  const int jobs = flags.Int<int>("--jobs", 1);
+  const int seeds = flags.Int<int>("--seeds", 3);
+  const std::string out = flags.Get("--out", "BENCH_sweep.json");
+  const bool quick = flags.Has("--quick");
+  const std::string perf_out = flags.Get("--perf-out", "");
+  if (!flags.ok()) {
+    std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
+    return 2;
+  }
   if (!perf_out.empty()) obs::SetCollectionEnabled(true);
 
   // Sized so the default sweep finishes in seconds serially (the baseline

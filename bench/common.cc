@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/flags.h"
+
 namespace comx {
 namespace bench {
 
@@ -29,20 +31,30 @@ void AppendCsv(const std::string& path, const std::string& tag,
   (void)exp::AppendCsvFile(path, tag, rows).ok();
 }
 
+namespace {
+
+void ExitOnFlagError(const Flags& flags) {
+  if (flags.ok()) return;
+  std::fprintf(stderr, "error: %s\n", flags.status().ToString().c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 double ArgDouble(int argc, char** argv, const std::string& flag,
                  double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (flag == argv[i]) return std::atof(argv[i + 1]);
-  }
-  return fallback;
+  Flags flags(argc, argv);
+  const double value = flags.Double(flag, fallback);
+  ExitOnFlagError(flags);
+  return value;
 }
 
 int64_t ArgInt(int argc, char** argv, const std::string& flag,
                int64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (flag == argv[i]) return std::atoll(argv[i + 1]);
-  }
-  return fallback;
+  Flags flags(argc, argv);
+  const int64_t value = flags.Int(flag, fallback);
+  ExitOnFlagError(flags);
+  return value;
 }
 
 }  // namespace bench

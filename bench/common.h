@@ -38,8 +38,8 @@ void PrintTable(const std::string& title, const std::vector<Row>& rows,
 void AppendCsv(const std::string& path, const std::string& tag,
                const std::vector<Row>& rows);
 
-/// Parses "--flag value"-style argv pairs; returns the value of `flag` or
-/// `fallback`.
+/// The value of `flag` (util/flags.h syntax) or `fallback`; a malformed
+/// value exits 2 with an error that names the flag.
 double ArgDouble(int argc, char** argv, const std::string& flag,
                  double fallback);
 int64_t ArgInt(int argc, char** argv, const std::string& flag,

@@ -29,10 +29,6 @@ RealDatasetSpec Rdx11Ryx11() {
                          /*xian=*/true};
 }
 
-std::vector<RealDatasetSpec> AllRealSpecs() {
-  return {Rdc10Ryc10(), Rdc11Ryc11(), Rdx11Ryx11()};
-}
-
 Result<Instance> GenerateRealLike(const RealDatasetSpec& spec, double scale,
                                   uint64_t seed) {
   if (!(scale > 0.0) || scale > 1.0) {

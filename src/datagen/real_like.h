@@ -34,9 +34,6 @@ RealDatasetSpec Rdc10Ryc10();  // Chengdu, Oct 2016
 RealDatasetSpec Rdc11Ryc11();  // Chengdu, Nov 2016
 RealDatasetSpec Rdx11Ryx11();  // Xi'an,   Nov 2016
 
-/// All three, in Table V/VI/VII order.
-std::vector<RealDatasetSpec> AllRealSpecs();
-
 /// Materializes a spec into an Instance. `scale` in (0, 1] shrinks every
 /// count proportionally (e.g. 0.1 for a quick run); counts round to >= 1.
 Result<Instance> GenerateRealLike(const RealDatasetSpec& spec,

@@ -37,19 +37,4 @@ bool BBox::Contains(const Point& p) const {
   return p.x >= min_.x && p.x <= max_.x && p.y >= min_.y && p.y <= max_.y;
 }
 
-bool BBox::Intersects(const BBox& other) const {
-  if (empty() || other.empty()) return false;
-  return min_.x <= other.max_.x && max_.x >= other.min_.x &&
-         min_.y <= other.max_.y && max_.y >= other.min_.y;
-}
-
-bool BBox::IntersectsCircle(const Point& center, double radius) const {
-  if (empty()) return false;
-  const double cx = std::clamp(center.x, min_.x, max_.x);
-  const double cy = std::clamp(center.y, min_.y, max_.y);
-  const double dx = center.x - cx;
-  const double dy = center.y - cy;
-  return dx * dx + dy * dy <= radius * radius;
-}
-
 }  // namespace comx

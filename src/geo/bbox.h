@@ -33,12 +33,6 @@ class BBox {
   /// True when `p` lies inside or on the boundary.
   bool Contains(const Point& p) const;
 
-  /// True when the two boxes overlap (boundary counts).
-  bool Intersects(const BBox& other) const;
-
-  /// True when any part of the circle (center, radius) overlaps this box.
-  bool IntersectsCircle(const Point& center, double radius) const;
-
   Point min_corner() const { return min_; }
   Point max_corner() const { return max_; }
   double width() const { return max_.x - min_.x; }

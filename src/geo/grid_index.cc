@@ -106,15 +106,6 @@ Status GridIndex::Remove(int64_t id) {
 
 bool GridIndex::Contains(int64_t id) const { return locations_.count(id) > 0; }
 
-Result<Point> GridIndex::LocationOf(int64_t id) const {
-  const auto it = locations_.find(id);
-  if (it == locations_.end()) {
-    return Status::NotFound(
-        StrFormat("grid index has no id %lld", static_cast<long long>(id)));
-  }
-  return it->second;
-}
-
 std::vector<int64_t> GridIndex::QueryRadius(const Point& center,
                                             double radius) const {
   std::vector<int64_t> out;
@@ -143,25 +134,6 @@ std::vector<int64_t> GridIndex::QueryRadius(const Point& center,
     }
   }
   if (obs::CollectionEnabled()) [[unlikely]] internal::RecordGridProbe(hits);
-  return out;
-}
-
-std::vector<int64_t> GridIndex::QueryRect(const BBox& box) const {
-  std::vector<int64_t> out;
-  if (box.empty()) return out;
-  const CellSpan span = SpanFor(box.min_corner(), box.max_corner());
-  for (int32_t cx = span.cx_lo; cx <= span.cx_hi; ++cx) {
-    for (int32_t cy = span.cy_lo; cy <= span.cy_hi; ++cy) {
-      const auto it = cells_.find(PackCell(cx, cy));
-      if (it == cells_.end()) continue;
-      const Cell& cell = it->second;
-      for (size_t i = 0; i < cell.ids.size(); ++i) {
-        if (box.Contains(Point(cell.xs[i], cell.ys[i]))) {
-          out.push_back(cell.ids[i]);
-        }
-      }
-    }
-  }
   return out;
 }
 

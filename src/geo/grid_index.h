@@ -25,11 +25,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "geo/bbox.h"
 #include "geo/point.h"
 #include "kernels/geo_kernels.h"
 #include "obs/metrics_registry.h"
-#include "util/result.h"
 #include "util/status.h"
 
 namespace comx {
@@ -61,11 +59,6 @@ class GridIndex {
   /// True when the id is currently indexed.
   bool Contains(int64_t id) const;
 
-  /// Location of an id. Errors with NotFound when the id is absent (this
-  /// used to be an assert-only precondition that returned garbage under
-  /// NDEBUG).
-  Result<Point> LocationOf(int64_t id) const;
-
   /// All ids whose point lies within `radius` of `center` (inclusive).
   /// Order is unspecified. The result vector is reserved up front from the
   /// candidate cells' population counts (dense cells used to realloc
@@ -76,9 +69,6 @@ class GridIndex {
   /// returns the number of hits. Avoids allocation on hot paths.
   template <typename Fn>
   size_t ForEachInRadius(const Point& center, double radius, Fn&& fn) const;
-
-  /// All ids inside the rectangle (inclusive boundary).
-  std::vector<int64_t> QueryRect(const BBox& box) const;
 
   /// Number of indexed points.
   size_t size() const { return locations_.size(); }
@@ -103,8 +93,7 @@ class GridIndex {
     std::vector<double> ys;
   };
 
-  /// Inclusive cell-coordinate span covered by a query rectangle. Shared
-  /// by the radius and rect queries (the span math used to be duplicated).
+  /// Inclusive cell-coordinate span covered by a probe's bounding square.
   struct CellSpan {
     int32_t cx_lo, cx_hi, cy_lo, cy_hi;
   };

@@ -14,14 +14,12 @@ namespace {
 constexpr KernelTable kScalarTable = {
     &ScalarBatchSquaredDistance,
     &ScalarFilterInRange,
-    &ScalarBatchHaversineA,
 };
 
 #if defined(COMX_KERNELS_HAVE_AVX2)
 constexpr KernelTable kAvx2Table = {
     &Avx2BatchSquaredDistance,
     &Avx2FilterInRange,
-    &Avx2BatchHaversineA,
 };
 #endif
 

@@ -54,11 +54,6 @@ struct KernelTable {
                             const double* radius2, size_t n, double cx,
                             double cy, double range2, int32_t* idx_out,
                             double* d2_out);
-  void (*batch_haversine_a)(const double* sin_lat, const double* cos_lat,
-                            const double* sin_lon, const double* cos_lon,
-                            size_t n, double q_sin_lat, double q_cos_lat,
-                            double q_sin_lon, double q_cos_lon,
-                            double* a_out);
 };
 
 /// The active table (resolved once, atomically published).

@@ -9,15 +9,9 @@
 #ifndef COMX_KERNELS_KERNEL_TABLE_INL_H_
 #define COMX_KERNELS_KERNEL_TABLE_INL_H_
 
-#include <algorithm>
-#include <cmath>
-
 namespace comx {
 namespace kernels {
 namespace internal {
-
-inline constexpr double kEarthRadiusKm = 6371.0088;  // = geo/distance.cc
-inline constexpr double kDegToRad = 3.14159265358979323846 / 180.0;
 
 /// (x - cx)^2 + (y - cy)^2 — the exact expression GridIndex and
 /// geo::SquaredDistance evaluate, node for node.
@@ -25,28 +19,6 @@ inline double SquaredDistanceExpr(double x, double y, double cx, double cy) {
   const double dx = x - cx;
   const double dy = y - cy;
   return dx * dx + dy * dy;
-}
-
-/// The haversine "a" term from precomputed trig:
-///   cos(dphi) = clat*q_clat + slat*q_slat
-///   cos(dlam) = clon*q_clon + slon*q_slon
-///   a = 0.5*(1 - cos(dphi)) + (clat*q_clat) * (0.5*(1 - cos(dlam)))
-/// using sin^2(t/2) = (1 - cos t)/2; no per-element libm calls.
-inline double HaversineAExpr(double slat, double clat, double slon,
-                             double clon, double q_slat, double q_clat,
-                             double q_slon, double q_clon) {
-  const double cos_dphi = clat * q_clat + slat * q_slat;
-  const double cos_dlam = clon * q_clon + slon * q_slon;
-  const double cc = clat * q_clat;
-  return 0.5 * (1.0 - cos_dphi) + cc * (0.5 * (1.0 - cos_dlam));
-}
-
-/// Shared scalar epilogue: a -> km. Rounding can push `a` a few ulp outside
-/// [0, 1]; clamp before sqrt/asin. Runs scalar in *both* backends so the
-/// libm asin is the only transcendental and is shared.
-inline double HaversineFinishKm(double a) {
-  const double clamped = std::min(1.0, std::max(0.0, a));
-  return 2.0 * kEarthRadiusKm * std::asin(std::sqrt(clamped));
 }
 
 }  // namespace internal

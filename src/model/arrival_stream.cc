@@ -1,24 +1,8 @@
 #include "model/arrival_stream.h"
 
-#include <algorithm>
-
-#include "util/string_util.h"
+#include <vector>
 
 namespace comx {
-
-std::vector<Event> EventsForPlatform(const Instance& instance,
-                                     PlatformId platform) {
-  std::vector<Event> out;
-  out.reserve(instance.events().size());
-  for (const Event& e : instance.events()) {
-    if (e.kind == EventKind::kWorkerArrival) {
-      out.push_back(e);
-    } else if (instance.request(e.entity_id).platform == platform) {
-      out.push_back(e);
-    }
-  }
-  return out;
-}
 
 Instance RandomOrderCopy(const Instance& instance, Rng* rng) {
   Instance copy = instance;
@@ -37,17 +21,6 @@ Instance RandomOrderCopy(const Instance& instance, Rng* rng) {
   }
   copy.SetEvents(std::move(events));
   return copy;
-}
-
-std::string ArrivalOrderString(const Instance& instance) {
-  std::vector<std::string> parts;
-  parts.reserve(instance.events().size());
-  for (const Event& e : instance.events()) {
-    parts.push_back(StrFormat(
-        "%c%lld", e.kind == EventKind::kWorkerArrival ? 'w' : 'r',
-        static_cast<long long>(e.entity_id + 1)));
-  }
-  return Join(parts, ", ");
 }
 
 }  // namespace comx

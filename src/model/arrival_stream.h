@@ -1,25 +1,14 @@
-// Utilities over event streams: filtering by platform, random-order
-// permutations (for the random-order competitive-ratio model), and arrival
-// order tables like the paper's Table II.
+// Random-order permutations of an instance's event stream, for the
+// random-order competitive-ratio model.
 
 #ifndef COMX_MODEL_ARRIVAL_STREAM_H_
 #define COMX_MODEL_ARRIVAL_STREAM_H_
-
-#include <string>
-#include <vector>
 
 #include "model/event.h"
 #include "model/instance.h"
 #include "util/rng.h"
 
 namespace comx {
-
-/// Returns the events of `instance` restricted to entities of `platform`.
-/// Worker events are kept for every platform (outer workers are visible to
-/// all platforms' waiting lists); request events are kept only for the
-/// requesting platform.
-std::vector<Event> EventsForPlatform(const Instance& instance,
-                                     PlatformId platform);
 
 /// Produces a uniformly random permutation of the instance's arrival order:
 /// entity timestamps are kept but the *order* is shuffled and times are
@@ -29,10 +18,6 @@ std::vector<Event> EventsForPlatform(const Instance& instance,
 ///
 /// Returns a deep copy of the instance with rewritten times/events.
 Instance RandomOrderCopy(const Instance& instance, Rng* rng);
-
-/// Renders the arrival order as "w1, w2, r1, ..." (ids are 1-based like the
-/// paper's Table II) for debugging small instances.
-std::string ArrivalOrderString(const Instance& instance);
 
 }  // namespace comx
 

@@ -132,12 +132,6 @@ void Histogram::Reset() {
   }
 }
 
-std::vector<double> DefaultLatencyBoundsSeconds() {
-  return {1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-          1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,  0.25,   0.5,
-          1.0,  2.5,    5.0,  10.0};
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;

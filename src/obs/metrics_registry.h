@@ -150,10 +150,6 @@ class Histogram {
   std::array<Shard, kShardCount> shards_;
 };
 
-/// Default latency buckets for timing spans, in seconds: 1us .. ~10s,
-/// roughly 4 per decade.
-std::vector<double> DefaultLatencyBoundsSeconds();
-
 /// A point-in-time merged view of every registered metric, sorted by name.
 struct CounterSample {
   std::string name, help;

@@ -65,52 +65,6 @@ double AStarKm(const RoadGraph& graph, NodeId source, NodeId target) {
   return kUnreachable;
 }
 
-std::vector<double> SingleSourceKm(const RoadGraph& graph, NodeId source) {
-  std::vector<double> dist(static_cast<size_t>(graph.node_count()),
-                           kUnreachable);
-  dist[static_cast<size_t>(source)] = 0.0;
-  MinQueue queue;
-  queue.emplace(0.0, source);
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d > dist[static_cast<size_t>(u)]) continue;
-    for (const RoadArc& arc : graph.ArcsFrom(u)) {
-      const double nd = d + arc.length_km;
-      if (nd < dist[static_cast<size_t>(arc.to)]) {
-        dist[static_cast<size_t>(arc.to)] = nd;
-        queue.emplace(nd, arc.to);
-      }
-    }
-  }
-  return dist;
-}
-
-std::vector<ReachedNode> NodesWithinKm(const RoadGraph& graph, NodeId source,
-                                       double radius_km) {
-  std::vector<ReachedNode> reached;
-  if (radius_km < 0.0) return reached;
-  std::vector<double> dist(static_cast<size_t>(graph.node_count()),
-                           kUnreachable);
-  dist[static_cast<size_t>(source)] = 0.0;
-  MinQueue queue;
-  queue.emplace(0.0, source);
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d > dist[static_cast<size_t>(u)]) continue;
-    reached.push_back(ReachedNode{u, d});
-    for (const RoadArc& arc : graph.ArcsFrom(u)) {
-      const double nd = d + arc.length_km;
-      if (nd <= radius_km && nd < dist[static_cast<size_t>(arc.to)]) {
-        dist[static_cast<size_t>(arc.to)] = nd;
-        queue.emplace(nd, arc.to);
-      }
-    }
-  }
-  return reached;
-}
-
 std::vector<NodeId> ShortestPathNodes(const RoadGraph& graph, NodeId source,
                                       NodeId target) {
   std::vector<double> dist(static_cast<size_t>(graph.node_count()),

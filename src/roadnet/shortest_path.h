@@ -1,6 +1,5 @@
-// Shortest-path queries over a RoadGraph: point-to-point Dijkstra / A* and
-// the bounded "Dijkstra ball" that powers road-network range constraints
-// (all nodes reachable within d km — the paper's "irregular shapes").
+// Point-to-point shortest-path queries over a RoadGraph: Dijkstra, A* and
+// path reconstruction.
 
 #ifndef COMX_ROADNET_SHORTEST_PATH_H_
 #define COMX_ROADNET_SHORTEST_PATH_H_
@@ -24,20 +23,6 @@ double ShortestPathKm(const RoadGraph& graph, NodeId source, NodeId target);
 /// least as long as its Euclidean span). Identical results to Dijkstra,
 /// fewer settled nodes on spread-out targets.
 double AStarKm(const RoadGraph& graph, NodeId source, NodeId target);
-
-/// Distances from `source` to every node (full Dijkstra).
-std::vector<double> SingleSourceKm(const RoadGraph& graph, NodeId source);
-
-/// One reached node of a bounded Dijkstra.
-struct ReachedNode {
-  NodeId node = 0;
-  double distance_km = 0.0;
-};
-
-/// All nodes within `radius_km` network distance of `source`, in
-/// non-decreasing distance order (the "Dijkstra ball").
-std::vector<ReachedNode> NodesWithinKm(const RoadGraph& graph, NodeId source,
-                                       double radius_km);
 
 /// Shortest path as a node sequence (source first, target last); empty
 /// when unreachable.

@@ -48,12 +48,7 @@ void CsvWriter::WriteNumericRow(const std::vector<double>& values) {
   *out_ << '\n';
 }
 
-namespace {
-
-// Shared scanner behind the lenient and strict entry points; reports
-// whether the line ended with a quote still open.
-std::vector<std::string> ScanCsvLine(std::string_view line,
-                                     bool* unterminated) {
+Result<std::vector<std::string>> ParseCsvLineStrict(std::string_view line) {
   std::vector<std::string> fields;
   std::string current;
   bool in_quotes = false;
@@ -81,24 +76,10 @@ std::vector<std::string> ScanCsvLine(std::string_view line,
       current.push_back(c);
     }
   }
-  fields.push_back(std::move(current));
-  *unterminated = in_quotes;
-  return fields;
-}
-
-}  // namespace
-
-std::vector<std::string> ParseCsvLine(std::string_view line) {
-  bool unterminated = false;
-  return ScanCsvLine(line, &unterminated);
-}
-
-Result<std::vector<std::string>> ParseCsvLineStrict(std::string_view line) {
-  bool unterminated = false;
-  std::vector<std::string> fields = ScanCsvLine(line, &unterminated);
-  if (unterminated) {
+  if (in_quotes) {
     return Status::InvalidArgument("unterminated quote in CSV line");
   }
+  fields.push_back(std::move(current));
   return fields;
 }
 

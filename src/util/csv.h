@@ -33,12 +33,9 @@ class CsvWriter {
   std::ostream* out_;
 };
 
-/// Parses one CSV line into fields, honoring double quotes. Lenient: an
-/// unterminated quote is silently treated as running to end of line.
-std::vector<std::string> ParseCsvLine(std::string_view line);
-
-/// Strict variant: errors on a quote left open at end of line instead of
-/// silently swallowing the rest of the record. Use for untrusted input.
+/// Parses one CSV line into fields, honoring double quotes. Errors on a
+/// quote left open at end of line instead of silently swallowing the rest
+/// of the record.
 Result<std::vector<std::string>> ParseCsvLineStrict(std::string_view line);
 
 /// Reads a whole CSV file into rows of fields. Skips empty lines. Rows are

@@ -1,5 +1,7 @@
 #include "util/string_util.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -60,9 +62,14 @@ Result<double> ParseDouble(std::string_view s) {
   const std::string trimmed(Trim(s));
   if (trimmed.empty()) return Status::InvalidArgument("empty number");
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(trimmed.c_str(), &end);
   if (end != trimmed.c_str() + trimmed.size()) {
     return Status::InvalidArgument("not a double: '" + trimmed + "'");
+  }
+  // ERANGE also flags underflow to a subnormal or zero, which is kept.
+  if (errno == ERANGE && std::abs(v) == HUGE_VAL) {
+    return Status::OutOfRange("double out of range: '" + trimmed + "'");
   }
   return v;
 }
@@ -71,11 +78,34 @@ Result<int64_t> ParseInt64(std::string_view s) {
   const std::string trimmed(Trim(s));
   if (trimmed.empty()) return Status::InvalidArgument("empty number");
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(trimmed.c_str(), &end, 10);
   if (end != trimmed.c_str() + trimmed.size()) {
     return Status::InvalidArgument("not an int: '" + trimmed + "'");
   }
+  if (errno == ERANGE) {
+    return Status::OutOfRange("int out of range: '" + trimmed + "'");
+  }
   return static_cast<int64_t>(v);
+}
+
+Result<uint64_t> ParseUint64(std::string_view s) {
+  const std::string trimmed(Trim(s));
+  if (trimmed.empty()) return Status::InvalidArgument("empty number");
+  // strtoull negates a leading '-' instead of rejecting it.
+  if (trimmed[0] == '-') {
+    return Status::OutOfRange("unsigned int out of range: '" + trimmed + "'");
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(trimmed.c_str(), &end, 10);
+  if (end != trimmed.c_str() + trimmed.size()) {
+    return Status::InvalidArgument("not an unsigned int: '" + trimmed + "'");
+  }
+  if (errno == ERANGE) {
+    return Status::OutOfRange("unsigned int out of range: '" + trimmed + "'");
+  }
+  return static_cast<uint64_t>(v);
 }
 
 }  // namespace comx

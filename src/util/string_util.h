@@ -25,11 +25,17 @@ std::string Join(const std::vector<std::string>& parts,
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// Strict parse of a double; errors on trailing garbage or empty input.
+/// Strict parse of a double; errors on trailing garbage, empty input or a
+/// value beyond the double range.
 Result<double> ParseDouble(std::string_view s);
 
-/// Strict parse of an int64; errors on trailing garbage or empty input.
+/// Strict parse of an int64; errors on trailing garbage, empty input or a
+/// value beyond the int64 range.
 Result<int64_t> ParseInt64(std::string_view s);
+
+/// Strict parse of a uint64 (the full seed range); errors on trailing
+/// garbage, empty input, a minus sign or a value beyond 2^64 - 1.
+Result<uint64_t> ParseUint64(std::string_view s);
 
 }  // namespace comx
 

@@ -24,14 +24,6 @@ TEST(RealLikeTest, SpecsMatchTableThree) {
   EXPECT_TRUE(rdx11.xian);
 }
 
-TEST(RealLikeTest, AllSpecsInTableOrder) {
-  const auto specs = AllRealSpecs();
-  ASSERT_EQ(specs.size(), 3u);
-  EXPECT_EQ(specs[0].name, "RDC10+RYC10");
-  EXPECT_EQ(specs[1].name, "RDC11+RYC11");
-  EXPECT_EQ(specs[2].name, "RDX11+RYX11");
-}
-
 TEST(RealLikeTest, ScaledGenerationMatchesCounts) {
   auto ins = GenerateRealLike(Rdc10Ryc10(), 0.01, 7);
   ASSERT_TRUE(ins.ok());

@@ -50,26 +50,5 @@ TEST(BBoxTest, InflateEmptyIsNoop) {
   EXPECT_TRUE(b.empty());
 }
 
-TEST(BBoxTest, Intersects) {
-  const BBox a(Point(0, 0), Point(2, 2));
-  const BBox b(Point(1, 1), Point(3, 3));
-  const BBox c(Point(5, 5), Point(6, 6));
-  const BBox touching(Point(2, 0), Point(4, 2));
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_TRUE(b.Intersects(a));
-  EXPECT_FALSE(a.Intersects(c));
-  EXPECT_TRUE(a.Intersects(touching));  // boundary counts
-  EXPECT_FALSE(a.Intersects(BBox()));
-}
-
-TEST(BBoxTest, IntersectsCircle) {
-  const BBox b(Point(0, 0), Point(2, 2));
-  EXPECT_TRUE(b.IntersectsCircle(Point(1, 1), 0.1));   // center inside
-  EXPECT_TRUE(b.IntersectsCircle(Point(3, 1), 1.0));   // touches edge
-  EXPECT_FALSE(b.IntersectsCircle(Point(4, 1), 1.0));  // too far
-  EXPECT_TRUE(b.IntersectsCircle(Point(3, 3), 1.5));   // corner overlap
-  EXPECT_FALSE(b.IntersectsCircle(Point(3, 3), 1.0));  // corner miss
-}
-
 }  // namespace
 }  // namespace comx

@@ -35,24 +35,6 @@ TEST(GridIndexTest, RemoveMissingFails) {
   EXPECT_EQ(idx.Remove(42).code(), StatusCode::kNotFound);
 }
 
-TEST(GridIndexTest, LocationOf) {
-  GridIndex idx(2.0);
-  ASSERT_TRUE(idx.Insert(9, Point(3.25, -1.5)).ok());
-  const auto loc = idx.LocationOf(9);
-  ASSERT_TRUE(loc.ok());
-  EXPECT_EQ(*loc, Point(3.25, -1.5));
-}
-
-TEST(GridIndexTest, LocationOfMissingIdFailsLoudly) {
-  // Regression: this used to be an assert-only precondition — an NDEBUG
-  // build dereferenced end() instead of reporting the miss.
-  GridIndex idx(2.0);
-  ASSERT_TRUE(idx.Insert(9, Point(3.25, -1.5)).ok());
-  EXPECT_EQ(idx.LocationOf(10).status().code(), StatusCode::kNotFound);
-  ASSERT_TRUE(idx.Remove(9).ok());
-  EXPECT_EQ(idx.LocationOf(9).status().code(), StatusCode::kNotFound);
-}
-
 TEST(GridIndexTest, RadiusQueryInclusiveBoundary) {
   GridIndex idx(1.0);
   ASSERT_TRUE(idx.Insert(1, Point(3, 4)).ok());  // distance 5 from origin
@@ -83,9 +65,6 @@ TEST(GridIndexTest, FourQuadrantsThroughPackCell) {
         idx.QueryRadius(quadrants[i], 0.1);  // well inside one cell
     ASSERT_EQ(hits.size(), 1u) << "quadrant " << i;
     EXPECT_EQ(hits[0], static_cast<int64_t>(i));
-    const auto loc = idx.LocationOf(static_cast<int64_t>(i));
-    ASSERT_TRUE(loc.ok());
-    EXPECT_EQ(*loc, quadrants[i]);
   }
   // Remove from each quadrant; each removal must only affect its own cell.
   for (size_t i = 0; i < quadrants.size(); ++i) {
@@ -121,17 +100,6 @@ TEST(GridIndexTest, NegativeRadiusFindsNothing) {
   GridIndex idx(1.0);
   ASSERT_TRUE(idx.Insert(1, Point(1, 1)).ok());
   EXPECT_TRUE(idx.QueryRadius(Point(1, 1), -1.0).empty());
-}
-
-TEST(GridIndexTest, QueryRect) {
-  GridIndex idx(1.0);
-  ASSERT_TRUE(idx.Insert(1, Point(0.5, 0.5)).ok());
-  ASSERT_TRUE(idx.Insert(2, Point(2.5, 2.5)).ok());
-  ASSERT_TRUE(idx.Insert(3, Point(-1.0, 0.0)).ok());
-  auto hits = idx.QueryRect(BBox(Point(0, 0), Point(3, 3)));
-  std::sort(hits.begin(), hits.end());
-  EXPECT_EQ(hits, (std::vector<int64_t>{1, 2}));
-  EXPECT_TRUE(idx.QueryRect(BBox()).empty());
 }
 
 TEST(GridIndexTest, ForEachInRadiusReportsSquaredDistance) {

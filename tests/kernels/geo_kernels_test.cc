@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <vector>
 
-#include "geo/distance.h"
 #include "kernels/dispatch.h"
 #include "util/rng.h"
 
@@ -38,27 +36,6 @@ PlanarInputs MakePlanar(uint64_t seed) {
     in.radius2.push_back(r * r);
   }
   return in;
-}
-
-// Geodetic batch stressing the antimeridian, both poles, the equator, and
-// random city-scale points: the cases where haversine identities differ
-// most across rearrangements.
-GeoTrigBatch MakeGeodetic(uint64_t seed) {
-  GeoTrigBatch batch;
-  batch.Add(0.0, 179.9999);
-  batch.Add(0.0, -179.9999);
-  batch.Add(0.5, 180.0);
-  batch.Add(-0.5, -180.0);
-  batch.Add(89.9999, 45.0);
-  batch.Add(-89.9999, -45.0);
-  batch.Add(90.0, 0.0);
-  batch.Add(-90.0, 0.0);
-  batch.Add(0.0, 0.0);
-  Rng rng(seed);
-  while (batch.size() < kPoints) {
-    batch.Add(rng.Uniform(-90.0, 90.0), rng.Uniform(-180.0, 180.0));
-  }
-  return batch;
 }
 
 TEST(GeoKernelsTest, BatchSquaredDistanceBitIdenticalAcrossBackends) {
@@ -123,50 +100,6 @@ TEST(GeoKernelsTest, FilterInRangeMatchesNaiveReference) {
     }
   }
   EXPECT_EQ(k, n);
-}
-
-TEST(GeoKernelsTest, BatchHaversineBitIdenticalAcrossBackends) {
-  const KernelTable* avx2 = TableFor(Backend::kAvx2);
-  if (avx2 == nullptr) GTEST_SKIP() << "AVX2 unavailable on this host";
-  const GeoTrigBatch batch = MakeGeodetic(11);
-  // Compare the dispatched half (the `a` products) bitwise; the epilogue
-  // is shared scalar code, so the final km agree bitwise iff `a` does.
-  const double q_lat = 30.6586 * M_PI / 180.0;
-  const double q_lon = 104.0647 * M_PI / 180.0;
-  const double qsl = std::sin(q_lat), qcl = std::cos(q_lat);
-  const double qso = std::sin(q_lon), qco = std::cos(q_lon);
-  std::vector<double> a(batch.size()), b(batch.size());
-  TableFor(Backend::kScalar)
-      ->batch_haversine_a(batch.sin_lat(), batch.cos_lat(), batch.sin_lon(),
-                          batch.cos_lon(), batch.size(), qsl, qcl, qso, qco,
-                          a.data());
-  avx2->batch_haversine_a(batch.sin_lat(), batch.cos_lat(), batch.sin_lon(),
-                          batch.cos_lon(), batch.size(), qsl, qcl, qso, qco,
-                          b.data());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), batch.size() * sizeof(double)),
-            0);
-}
-
-TEST(GeoKernelsTest, BatchHaversineMatchesReferenceDistance) {
-  const GeoTrigBatch batch = MakeGeodetic(42);
-  const double q_lat = 30.6586, q_lon = 104.0647;
-  std::vector<double> km(batch.size());
-  BatchHaversineKm(batch, q_lat, q_lon, km.data());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const double ref =
-        HaversineKm(q_lat, q_lon, batch.lat_deg()[i],
-                         batch.lon_deg()[i]);
-    // Different but equivalent identity: agree to well under a metre.
-    EXPECT_NEAR(km[i], ref, 1e-3) << "point " << i;
-  }
-}
-
-TEST(GeoKernelsTest, SinglePairMatchesBatch) {
-  GeoTrigBatch batch;
-  batch.Add(30.70, 104.10);
-  double km = 0.0;
-  BatchHaversineKm(batch, 30.6586, 104.0647, &km);
-  EXPECT_EQ(HaversineViaTrigKm(30.6586, 104.0647, 30.70, 104.10), km);
 }
 
 }  // namespace

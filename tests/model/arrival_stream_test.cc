@@ -1,7 +1,8 @@
 #include "model/arrival_stream.h"
 
-#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,19 +12,6 @@ namespace comx {
 namespace {
 
 using testing_fixtures::PaperExample;
-
-TEST(EventsForPlatformTest, KeepsAllWorkersAndOwnRequests) {
-  const Instance ins = PaperExample();
-  const auto events = EventsForPlatform(ins, 0);
-  // Platform 0 owns all 5 requests; all 5 worker arrivals stay visible.
-  EXPECT_EQ(events.size(), 10u);
-  const auto events1 = EventsForPlatform(ins, 1);
-  // Platform 1 has no requests: only the 5 worker arrivals.
-  EXPECT_EQ(events1.size(), 5u);
-  for (const Event& e : events1) {
-    EXPECT_EQ(e.kind, EventKind::kWorkerArrival);
-  }
-}
 
 TEST(RandomOrderCopyTest, PreservesEntities) {
   const Instance ins = PaperExample();
@@ -59,18 +47,17 @@ TEST(RandomOrderCopyTest, TimesAreMonotoneDense) {
 
 TEST(RandomOrderCopyTest, DifferentSeedsGiveDifferentOrders) {
   const Instance ins = PaperExample();
-  std::set<std::string> orders;
+  std::set<std::vector<std::pair<EventKind, int64_t>>> orders;
   for (uint64_t seed = 0; seed < 10; ++seed) {
     Rng rng(seed);
-    orders.insert(ArrivalOrderString(RandomOrderCopy(ins, &rng)));
+    const Instance shuffled = RandomOrderCopy(ins, &rng);
+    std::vector<std::pair<EventKind, int64_t>> order;
+    for (const Event& e : shuffled.events()) {
+      order.emplace_back(e.kind, e.entity_id);
+    }
+    orders.insert(std::move(order));
   }
   EXPECT_GT(orders.size(), 5u);
-}
-
-TEST(ArrivalOrderStringTest, MatchesTableTwoForPaperExample) {
-  // Table II: w1 w2 r1 w3 r2 r3 w4 r4 w5 r5.
-  EXPECT_EQ(ArrivalOrderString(PaperExample()),
-            "w1, w2, r1, w3, r2, r3, w4, r4, w5, r5");
 }
 
 }  // namespace

@@ -155,16 +155,6 @@ TEST_F(MetricsRegistryTest, ResetValuesZeroesButKeepsRegistrations) {
   EXPECT_EQ(c->Value(), 1);
 }
 
-TEST_F(MetricsRegistryTest, DefaultLatencyBoundsAreAscending) {
-  const std::vector<double> bounds = DefaultLatencyBoundsSeconds();
-  ASSERT_GE(bounds.size(), 2u);
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    EXPECT_LT(bounds[i - 1], bounds[i]);
-  }
-  EXPECT_LE(bounds.front(), 1e-6);
-  EXPECT_GE(bounds.back(), 1.0);
-}
-
 }  // namespace
 }  // namespace obs
 }  // namespace comx

@@ -69,31 +69,6 @@ TEST(ShortestPathTest, PathNodesReconstruct) {
   EXPECT_TRUE(path[1] == 1 || path[1] == 2);
 }
 
-TEST(ShortestPathTest, SingleSourceMatchesPointQueries) {
-  const RoadGraph g = Square();
-  const auto dist = SingleSourceKm(g, 2);
-  for (NodeId t = 0; t < g.node_count(); ++t) {
-    EXPECT_DOUBLE_EQ(dist[static_cast<size_t>(t)], ShortestPathKm(g, 2, t));
-  }
-}
-
-TEST(ShortestPathTest, BallContainsExactlyTheReachable) {
-  const RoadGraph g = Square();
-  const auto ball = NodesWithinKm(g, 0, 1.0);
-  ASSERT_EQ(ball.size(), 3u);  // 0, 1, 2
-  EXPECT_EQ(ball[0].node, 0);
-  EXPECT_DOUBLE_EQ(ball[0].distance_km, 0.0);
-  // Distances non-decreasing.
-  for (size_t i = 1; i < ball.size(); ++i) {
-    EXPECT_GE(ball[i].distance_km, ball[i - 1].distance_km);
-  }
-}
-
-TEST(ShortestPathTest, NegativeRadiusBallIsEmpty) {
-  const RoadGraph g = Square();
-  EXPECT_TRUE(NodesWithinKm(g, 0, -1.0).empty());
-}
-
 class ShortestPathRandomTest : public testing::TestWithParam<int> {};
 
 TEST_P(ShortestPathRandomTest, DijkstraAStarAndFloydAgree) {
@@ -114,25 +89,6 @@ TEST_P(ShortestPathRandomTest, DijkstraAStarAndFloydAgree) {
     const double ref = reference[static_cast<size_t>(s)][static_cast<size_t>(t)];
     EXPECT_NEAR(ShortestPathKm(*g, s, t), ref, 1e-9);
     EXPECT_NEAR(AStarKm(*g, s, t), ref, 1e-9);
-  }
-}
-
-TEST_P(ShortestPathRandomTest, BallMatchesSingleSourceCutoff) {
-  RoadGridConfig config;
-  config.rows = 6;
-  config.cols = 6;
-  config.seed = static_cast<uint64_t>(GetParam()) + 7;
-  auto g = GenerateGridCity(config);
-  ASSERT_TRUE(g.ok());
-  const auto dist = SingleSourceKm(*g, 0);
-  for (double radius : {0.5, 1.5, 3.0, 10.0}) {
-    const auto ball = NodesWithinKm(*g, 0, radius);
-    size_t expected = 0;
-    for (double d : dist) expected += (d <= radius) ? 1 : 0;
-    EXPECT_EQ(ball.size(), expected) << "radius " << radius;
-    for (const ReachedNode& rn : ball) {
-      EXPECT_NEAR(rn.distance_km, dist[static_cast<size_t>(rn.node)], 1e-9);
-    }
   }
 }
 

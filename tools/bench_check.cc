@@ -10,47 +10,31 @@
 // mismatch, 2 = usage/IO error.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "exp/bench_record.h"
-
-namespace {
-
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
+#include "util/flags.h"
 
 int main(int argc, char** argv) {
   using namespace comx;
 
-  const char* baseline_path = FlagValue(argc, argv, "--baseline");
-  const char* current_path = FlagValue(argc, argv, "--current");
+  Flags flags(argc, argv);
+  const char* baseline_path = flags.Get("--baseline");
+  const char* current_path = flags.Get("--current");
+  exp::BenchCompareOptions options;
+  options.rel_tol = flags.Double("--rel-tol", options.rel_tol);
+  const bool quiet = flags.Has("--quiet");
+  if (!flags.ok()) {
+    std::fprintf(stderr, "bench_check: %s\n",
+                 flags.status().ToString().c_str());
+    return 2;
+  }
   if (baseline_path == nullptr || current_path == nullptr) {
     std::fprintf(stderr,
                  "usage: bench_check --baseline PATH --current PATH "
                  "[--rel-tol X] [--quiet]\n");
     return 2;
   }
-  exp::BenchCompareOptions options;
-  if (const char* tol = FlagValue(argc, argv, "--rel-tol");
-      tol != nullptr) {
-    options.rel_tol = std::atof(tol);
-  }
-  const bool quiet = HasFlag(argc, argv, "--quiet");
 
   auto baseline = exp::ReadBenchRecords(baseline_path);
   if (!baseline.ok()) {

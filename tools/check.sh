@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: nine stages, strictest first.
+# Tier-1 gate: ten stages, strictest first.
 #
 #   1. asan-ubsan — full test suite under AddressSanitizer + UBSan
 #                   (includes the `kernels` backend-equivalence suite).
@@ -35,6 +35,10 @@
 #                   entry points built on engine batch mode:
 #                   bench_batch --seeds 1 (fails unless every batch run
 #                   passes AuditSimResult) and examples/roadnet_dispatch.
+#  10. perfbench  — the standalone perfbench/ project (its own CMake build
+#                   of src/ and tools/comx_serve.cc) built and run at
+#                   smoke size by its unit tests, so a library or flag
+#                   change that breaks the benchmark fails here.
 #
 # Usage: tools/check.sh [extra ctest args...]
 #   tools/check.sh              # everything
@@ -42,20 +46,21 @@
 # Set COMX_CHECK_SKIP_TSAN=1 / COMX_CHECK_SKIP_BENCH=1 /
 # COMX_CHECK_SKIP_FUZZ=1 / COMX_CHECK_SKIP_KERNELS=1 /
 # COMX_CHECK_SKIP_PERF=1 / COMX_CHECK_SKIP_CRASH=1 /
-# COMX_CHECK_SKIP_SERVE=1 / COMX_CHECK_SKIP_BATCH=1 to skip a stage.
+# COMX_CHECK_SKIP_SERVE=1 / COMX_CHECK_SKIP_BATCH=1 /
+# COMX_CHECK_SKIP_PERFBENCH=1 to skip a stage.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-echo "== stage 1/9: asan-ubsan test suite =="
+echo "== stage 1/10: asan-ubsan test suite =="
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${JOBS}"
 ctest --preset asan-ubsan -j "${JOBS}" "$@"
 
 if [[ "${COMX_CHECK_SKIP_TSAN:-0}" != "1" ]]; then
-  echo "== stage 2/9: thread pool + sweep engine + obs + serve under TSan =="
+  echo "== stage 2/10: thread pool + sweep engine + obs + serve under TSan =="
   cmake --preset tsan
   cmake --build --preset tsan -j "${JOBS}" \
     --target comx_util_test comx_exp_test comx_obs_test comx_serve_test
@@ -66,11 +71,11 @@ if [[ "${COMX_CHECK_SKIP_TSAN:-0}" != "1" ]]; then
     --gtest_filter='*Concurrent*:*Threads*'
   ./build-tsan/tests/comx_serve_test
 else
-  echo "== stage 2/9: skipped (COMX_CHECK_SKIP_TSAN=1) =="
+  echo "== stage 2/10: skipped (COMX_CHECK_SKIP_TSAN=1) =="
 fi
 
 if [[ "${COMX_CHECK_SKIP_BENCH:-0}" != "1" ]]; then
-  echo "== stage 3/9: BENCH baseline reproduction =="
+  echo "== stage 3/10: BENCH baseline reproduction =="
   cmake --preset release
   cmake --build --preset release -j "${JOBS}" --target bench_sweep bench_check
   SWEEP_OUT="$(mktemp /tmp/comx_bench_sweep.XXXXXX.json)"
@@ -79,20 +84,20 @@ if [[ "${COMX_CHECK_SKIP_BENCH:-0}" != "1" ]]; then
   ./build/tools/bench_check --baseline BENCH_sweep.json \
     --current "${SWEEP_OUT}"
 else
-  echo "== stage 3/9: skipped (COMX_CHECK_SKIP_BENCH=1) =="
+  echo "== stage 3/10: skipped (COMX_CHECK_SKIP_BENCH=1) =="
 fi
 
 if [[ "${COMX_CHECK_SKIP_FUZZ:-0}" != "1" ]]; then
-  echo "== stage 4/9: comx_fuzz smoke (200 scenarios, all matchers) =="
+  echo "== stage 4/10: comx_fuzz smoke (200 scenarios, all matchers) =="
   cmake --preset release
   cmake --build --preset release -j "${JOBS}" --target comx_fuzz
   ./build/tools/comx_fuzz --smoke
 else
-  echo "== stage 4/9: skipped (COMX_CHECK_SKIP_FUZZ=1) =="
+  echo "== stage 4/10: skipped (COMX_CHECK_SKIP_FUZZ=1) =="
 fi
 
 if [[ "${COMX_CHECK_SKIP_KERNELS:-0}" != "1" ]]; then
-  echo "== stage 5/9: kernel checksum baseline reproduction =="
+  echo "== stage 5/10: kernel checksum baseline reproduction =="
   cmake --preset release
   cmake --build --preset release -j "${JOBS}" --target bench_kernels bench_check
   KERNELS_OUT="$(mktemp /tmp/comx_bench_kernels.XXXXXX.json)"
@@ -101,11 +106,11 @@ if [[ "${COMX_CHECK_SKIP_KERNELS:-0}" != "1" ]]; then
   ./build/tools/bench_check --baseline BENCH_kernels.json \
     --current "${KERNELS_OUT}"
 else
-  echo "== stage 5/9: skipped (COMX_CHECK_SKIP_KERNELS=1) =="
+  echo "== stage 5/10: skipped (COMX_CHECK_SKIP_KERNELS=1) =="
 fi
 
 if [[ "${COMX_CHECK_SKIP_PERF:-0}" != "1" ]]; then
-  echo "== stage 6/9: perf-report pipeline (span profile schema) =="
+  echo "== stage 6/10: perf-report pipeline (span profile schema) =="
   cmake --preset release
   cmake --build --preset release -j "${JOBS}" --target bench_sweep perf_report
   PERF_OUT="$(mktemp /tmp/comx_perf_profile.XXXXXX.jsonl)"
@@ -119,20 +124,20 @@ if [[ "${COMX_CHECK_SKIP_PERF:-0}" != "1" ]]; then
   ./build/tools/perf_report --check "${PERF_OUT}" \
     --collapsed "${COLLAPSED_OUT}"
 else
-  echo "== stage 6/9: skipped (COMX_CHECK_SKIP_PERF=1) =="
+  echo "== stage 6/10: skipped (COMX_CHECK_SKIP_PERF=1) =="
 fi
 
 if [[ "${COMX_CHECK_SKIP_CRASH:-0}" != "1" ]]; then
-  echo "== stage 7/9: crash matrix smoke (recovery bit-exactness, ASan) =="
+  echo "== stage 7/10: crash matrix smoke (recovery bit-exactness, ASan) =="
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "${JOBS}" --target crash_matrix
   ./build-asan/tools/crash_matrix --smoke
 else
-  echo "== stage 7/9: skipped (COMX_CHECK_SKIP_CRASH=1) =="
+  echo "== stage 7/10: skipped (COMX_CHECK_SKIP_CRASH=1) =="
 fi
 
 if [[ "${COMX_CHECK_SKIP_SERVE:-0}" != "1" ]]; then
-  echo "== stage 8/9: serve smoke (comx_loadgen vs comx_serve, ASan) =="
+  echo "== stage 8/10: serve smoke (comx_loadgen vs comx_serve, ASan) =="
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "${JOBS}" \
     --target comx_serve_bin comx_loadgen perf_report
@@ -155,11 +160,11 @@ if [[ "${COMX_CHECK_SKIP_SERVE:-0}" != "1" ]]; then
   ./build/tools/bench_check --baseline BENCH_serve.json \
     --current "${SERVE_OUT}"
 else
-  echo "== stage 8/9: skipped (COMX_CHECK_SKIP_SERVE=1) =="
+  echo "== stage 8/10: skipped (COMX_CHECK_SKIP_SERVE=1) =="
 fi
 
 if [[ "${COMX_CHECK_SKIP_BATCH:-0}" != "1" ]]; then
-  echo "== stage 9/9: micro-batch suite (ctest -L batch, ASan) + batch fuzz + bench_batch + roadnet_dispatch =="
+  echo "== stage 9/10: micro-batch suite (ctest -L batch, ASan) + batch fuzz + bench_batch + roadnet_dispatch =="
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "${JOBS}" --target comx_batch_test
   ctest --preset asan-ubsan -j "${JOBS}" -L batch
@@ -170,7 +175,14 @@ if [[ "${COMX_CHECK_SKIP_BATCH:-0}" != "1" ]]; then
   ./build/bench/bench_batch --seeds 1
   ./build/examples/roadnet_dispatch
 else
-  echo "== stage 9/9: skipped (COMX_CHECK_SKIP_BATCH=1) =="
+  echo "== stage 9/10: skipped (COMX_CHECK_SKIP_BATCH=1) =="
+fi
+
+if [[ "${COMX_CHECK_SKIP_PERFBENCH:-0}" != "1" ]]; then
+  echo "== stage 10/10: perfbench build + smoke (python3 -m unittest) =="
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
+else
+  echo "== stage 10/10: skipped (COMX_CHECK_SKIP_PERFBENCH=1) =="
 fi
 
 echo "check.sh: all stages passed"

@@ -53,14 +53,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/cost_aware.h"
-#include "core/dem_com.h"
-#include "core/greedy_rt.h"
+#include "core/matcher_factory.h"
 #include "core/offline_opt.h"
-#include "core/ram_com.h"
-#include "core/ranking.h"
-#include "core/tota_greedy.h"
-#include "core/window_greedy.h"
 #include "datagen/dataset.h"
 #include "matching/batch_matcher.h"
 #include "datagen/density.h"
@@ -77,6 +71,7 @@
 #include "sim/result_io.h"
 #include "sim/simulator.h"
 #include "util/csv.h"
+#include "util/flags.h"
 #include "util/signal_guard.h"
 #include "util/stats.h"
 #include "util/string_util.h"
@@ -92,70 +87,27 @@ void PollShutdown() {
   if (ShutdownRequested()) std::exit(DrainShutdown());
 }
 
-// Accepts both "--flag value" and "--flag=value".
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  const size_t flag_len = std::strlen(flag);
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return i + 1 < argc ? argv[i + 1] : nullptr;
-    }
-    if (std::strncmp(argv[i], flag, flag_len) == 0 &&
-        argv[i][flag_len] == '=') {
-      return argv[i] + flag_len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-int64_t IntFlag(int argc, char** argv, const char* flag, int64_t fallback) {
-  const char* v = FlagValue(argc, argv, flag);
-  return v != nullptr ? std::atoll(v) : fallback;
-}
-
-double DoubleFlag(int argc, char** argv, const char* flag, double fallback) {
-  const char* v = FlagValue(argc, argv, flag);
-  return v != nullptr ? std::atof(v) : fallback;
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
 }
 
-std::unique_ptr<OnlineMatcher> MakeMatcher(const std::string& algo) {
-  if (algo == "tota") return std::make_unique<TotaGreedy>();
-  if (algo == "ranking") return std::make_unique<Ranking>();
-  if (algo == "greedyrt") return std::make_unique<GreedyRt>();
-  if (algo == "demcom") return std::make_unique<DemCom>();
-  if (algo == "ramcom") return std::make_unique<RamCom>();
-  if (algo == "costdem") return std::make_unique<CostAwareDemCom>();
-  // Batch-mode runs never consult the per-platform matchers, but the engine
-  // still Reset()s one per platform; WindowGreedy is the window=0 twin.
-  if (algo == "batch") return std::make_unique<WindowGreedy>();
-  return nullptr;
-}
-
-int CmdGen(int argc, char** argv) {
-  const char* out = FlagValue(argc, argv, "--out");
+int CmdGen(Flags& flags) {
+  const char* out = flags.Get("--out");
   if (out == nullptr) {
     std::fprintf(stderr, "gen: --out PREFIX is required\n");
     return 2;
   }
   SyntheticConfig config;
-  config.platforms = static_cast<int32_t>(IntFlag(argc, argv, "--platforms", 2));
-  config.requests_per_platform = {IntFlag(argc, argv, "--requests", 1250)};
-  config.workers_per_platform = {IntFlag(argc, argv, "--workers", 250)};
-  config.radius_km = DoubleFlag(argc, argv, "--radius", 1.0);
-  config.imbalance = DoubleFlag(argc, argv, "--imbalance", 0.7);
-  config.seed = static_cast<uint64_t>(IntFlag(argc, argv, "--seed", 2020));
-  if (const char* dist = FlagValue(argc, argv, "--dist"); dist != nullptr) {
+  config.platforms = flags.Int<int32_t>("--platforms", 2);
+  config.requests_per_platform = {flags.Int("--requests", 1250)};
+  config.workers_per_platform = {flags.Int("--workers", 250)};
+  config.radius_km = flags.Double("--radius", 1.0);
+  config.imbalance = flags.Double("--imbalance", 0.7);
+  config.seed = flags.Uint64("--seed", 2020);
+  const char* dist = flags.Get("--dist");
+  if (!flags.ok()) return Fail(flags.status());
+  if (dist != nullptr) {
     auto parsed = ParseValueDistribution(dist);
     if (!parsed.ok()) return Fail(parsed.status());
     config.value.distribution = *parsed;
@@ -168,9 +120,9 @@ int CmdGen(int argc, char** argv) {
   return 0;
 }
 
-int CmdGenReal(int argc, char** argv) {
-  const char* out = FlagValue(argc, argv, "--out");
-  const char* name = FlagValue(argc, argv, "--dataset");
+int CmdGenReal(Flags& flags) {
+  const char* out = flags.Get("--out");
+  const char* name = flags.Get("--dataset");
   if (out == nullptr || name == nullptr) {
     std::fprintf(stderr, "gen-real: --out and --dataset are required\n");
     return 2;
@@ -187,9 +139,10 @@ int CmdGenReal(int argc, char** argv) {
     std::fprintf(stderr, "gen-real: unknown dataset '%s'\n", name);
     return 2;
   }
-  auto instance = GenerateRealLike(
-      spec, DoubleFlag(argc, argv, "--scale", 0.05),
-      static_cast<uint64_t>(IntFlag(argc, argv, "--seed", 2016)));
+  const double scale = flags.Double("--scale", 0.05);
+  const uint64_t seed = flags.Uint64("--seed", 2016);
+  if (!flags.ok()) return Fail(flags.status());
+  auto instance = GenerateRealLike(spec, scale, seed);
   if (!instance.ok()) return Fail(instance.status());
   if (Status s = SaveInstance(*instance, out); !s.ok()) return Fail(s);
   std::printf("wrote %s.{workers,requests}.csv — %s clone: %s\n", out,
@@ -197,12 +150,13 @@ int CmdGenReal(int argc, char** argv) {
   return 0;
 }
 
-int CmdInfo(int argc, char** argv) {
-  const char* data = FlagValue(argc, argv, "--data");
+int CmdInfo(Flags& flags) {
+  const char* data = flags.Get("--data");
   if (data == nullptr) {
     std::fprintf(stderr, "info: --data PREFIX is required\n");
     return 2;
   }
+  if (!flags.ok()) return Fail(flags.status());
   auto instance = LoadInstance(data);
   if (!instance.ok()) return Fail(instance.status());
   std::printf("%s\n", instance->Summary().c_str());
@@ -220,29 +174,45 @@ int CmdInfo(int argc, char** argv) {
   return 0;
 }
 
-int CmdRun(int argc, char** argv) {
-  const char* data = FlagValue(argc, argv, "--data");
-  const char* algo = FlagValue(argc, argv, "--algo");
+int CmdRun(Flags& flags) {
+  const char* data = flags.Get("--data");
+  const char* algo = flags.Get("--algo");
   if (data == nullptr || algo == nullptr) {
     std::fprintf(stderr, "run: --data and --algo are required\n");
     return 2;
   }
-  auto instance = LoadInstance(data);
-  if (!instance.ok()) return Fail(instance.status());
-  const int seeds = static_cast<int>(IntFlag(argc, argv, "--seeds", 3));
+  const int seeds = flags.Int<int>("--seeds", 3);
   // --sim-seed S runs exactly one simulation with that seed (instead of the
   // 1..--seeds sweep) — how comx_fuzz repro commands replay a failing run
   // bit for bit.
-  const char* sim_seed_flag = FlagValue(argc, argv, "--sim-seed");
+  const bool one_seed = flags.Get("--sim-seed") != nullptr;
+  const uint64_t sim_seed = flags.Uint64("--sim-seed", 0);
   SimConfig sim;
-  sim.workers_recycle = !HasFlag(argc, argv, "--no-recycle");
-  sim.speed_kmh = DoubleFlag(argc, argv, "--speed-kmh", sim.speed_kmh);
+  sim.workers_recycle = !flags.Has("--no-recycle");
+  sim.speed_kmh = flags.Double("--speed-kmh", sim.speed_kmh);
   sim.base_service_seconds =
-      DoubleFlag(argc, argv, "--base-service-s", sim.base_service_seconds);
-  sim.service_seconds_per_value = DoubleFlag(
-      argc, argv, "--service-s-per-value", sim.service_seconds_per_value);
-  if (const char* acceptance = FlagValue(argc, argv, "--acceptance");
-      acceptance != nullptr) {
+      flags.Double("--base-service-s", sim.base_service_seconds);
+  sim.service_seconds_per_value =
+      flags.Double("--service-s-per-value", sim.service_seconds_per_value);
+  sim.reservation_seed =
+      flags.Uint64("--reservation-seed", sim.reservation_seed);
+  const bool batch = std::strcmp(algo, "batch") == 0;
+  if (batch) {
+    sim.batch_mode = true;
+    sim.batch_window_seconds =
+        flags.Double("--batch-window", sim.batch_window_seconds);
+  }
+  const char* batch_algo = batch ? flags.Get("--batch-algo") : nullptr;
+  const char* acceptance = flags.Get("--acceptance");
+  const char* plan_path = flags.Get("--fault-plan");
+  const char* save_matching = flags.Get("--save-matching");
+  const char* trace_out = flags.Get("--trace-out");
+  const char* metrics_out = flags.Get("--metrics-out");
+  const char* metrics_format_name = flags.Get("--metrics-format");
+  if (!flags.ok()) return Fail(flags.status());
+  auto instance = LoadInstance(data);
+  if (!instance.ok()) return Fail(instance.status());
+  if (acceptance != nullptr) {
     const std::string mode = acceptance;
     if (mode == "bernoulli") {
       sim.acceptance_mode = AcceptanceMode::kBernoulli;
@@ -254,39 +224,23 @@ int CmdRun(int argc, char** argv) {
       return 2;
     }
   }
-  // Seeds are full-range uint64 (strtoull, not atoll).
-  if (const char* rs = FlagValue(argc, argv, "--reservation-seed");
-      rs != nullptr) {
-    sim.reservation_seed = std::strtoull(rs, nullptr, 10);
-  }
-  if (std::strcmp(algo, "batch") == 0) {
-    sim.batch_mode = true;
-    sim.batch_window_seconds =
-        DoubleFlag(argc, argv, "--batch-window", sim.batch_window_seconds);
-    if (const char* name = FlagValue(argc, argv, "--batch-algo");
-        name != nullptr) {
-      auto parsed = ParseBatchAlgo(name);
-      if (!parsed.ok()) return Fail(parsed.status());
-      sim.batch.algo = *parsed;
-    }
+  if (batch_algo != nullptr) {
+    auto parsed = ParseBatchAlgo(batch_algo);
+    if (!parsed.ok()) return Fail(parsed.status());
+    sim.batch.algo = *parsed;
   }
   // The plan must outlive every RunSimulation call; SimConfig only borrows.
   fault::FaultPlan fault_plan;
-  if (const char* plan_path = FlagValue(argc, argv, "--fault-plan");
-      plan_path != nullptr) {
+  if (plan_path != nullptr) {
     auto loaded = fault::LoadFaultPlan(plan_path);
     if (!loaded.ok()) return Fail(loaded.status());
     fault_plan = *std::move(loaded);
     sim.fault_plan = &fault_plan;
   }
 
-  const char* save_matching = FlagValue(argc, argv, "--save-matching");
-  const char* trace_out = FlagValue(argc, argv, "--trace-out");
-  const char* metrics_out = FlagValue(argc, argv, "--metrics-out");
   obs::MetricsFormat metrics_format = obs::MetricsFormat::kPrometheus;
-  if (const char* fmt = FlagValue(argc, argv, "--metrics-format");
-      fmt != nullptr) {
-    auto parsed = obs::ParseMetricsFormat(fmt);
+  if (metrics_format_name != nullptr) {
+    auto parsed = obs::ParseMetricsFormat(metrics_format_name);
     if (!parsed.ok()) return Fail(parsed.status());
     metrics_format = *parsed;
   }
@@ -308,13 +262,13 @@ int CmdRun(int argc, char** argv) {
   fault::FaultSessionStats fault_totals;
   std::vector<PlatformMetrics> per_platform(
       static_cast<size_t>(instance->PlatformCount()));
-  const int run_count = sim_seed_flag != nullptr ? 1 : seeds;
+  const int run_count = one_seed ? 1 : seeds;
   for (int s = 1; s <= run_count; ++s) {
     PollShutdown();
     std::vector<std::unique_ptr<OnlineMatcher>> owned;
     std::vector<OnlineMatcher*> matchers;
     for (PlatformId p = 0; p < instance->PlatformCount(); ++p) {
-      owned.push_back(MakeMatcher(algo));
+      owned.push_back(MakeMatcherByName(algo));
       if (owned.back() == nullptr) {
         std::fprintf(stderr, "run: unknown algorithm '%s'\n", algo);
         return 2;
@@ -323,9 +277,7 @@ int CmdRun(int argc, char** argv) {
     }
     // Like --save-matching, the decision trace covers the first seed only.
     sim.trace = (s == 1) ? trace.get() : nullptr;
-    const uint64_t run_seed =
-        sim_seed_flag != nullptr ? std::strtoull(sim_seed_flag, nullptr, 10)
-                                 : static_cast<uint64_t>(s);
+    const uint64_t run_seed = one_seed ? sim_seed : static_cast<uint64_t>(s);
     auto result = RunSimulation(*instance, matchers, sim, run_seed);
     if (!result.ok()) return Fail(result.status());
     for (size_t p = 0; p < per_platform.size(); ++p) {
@@ -390,18 +342,18 @@ int CmdRun(int argc, char** argv) {
   return 0;
 }
 
-int CmdOffline(int argc, char** argv) {
-  const char* data = FlagValue(argc, argv, "--data");
+int CmdOffline(Flags& flags) {
+  const char* data = flags.Get("--data");
   if (data == nullptr) {
     std::fprintf(stderr, "offline: --data PREFIX is required\n");
     return 2;
   }
+  OfflineConfig config;
+  config.worker_capacity = flags.Int<int32_t>("--capacity", 1);
+  config.allow_outer = !flags.Has("--no-outer");
+  if (!flags.ok()) return Fail(flags.status());
   auto instance = LoadInstance(data);
   if (!instance.ok()) return Fail(instance.status());
-  OfflineConfig config;
-  config.worker_capacity =
-      static_cast<int32_t>(IntFlag(argc, argv, "--capacity", 1));
-  config.allow_outer = !HasFlag(argc, argv, "--no-outer");
   double total = 0.0;
   for (PlatformId p = 0; p < instance->PlatformCount(); ++p) {
     auto sol = SolveOffline(*instance, p, config);
@@ -421,12 +373,16 @@ int CmdOffline(int argc, char** argv) {
   return 0;
 }
 
-int CmdDensity(int argc, char** argv) {
-  const char* data = FlagValue(argc, argv, "--data");
+int CmdDensity(Flags& flags) {
+  const char* data = flags.Get("--data");
   if (data == nullptr) {
     std::fprintf(stderr, "density: --data PREFIX is required\n");
     return 2;
   }
+  const int32_t cols = flags.Int<int32_t>("--cols", 36);
+  const int32_t rows = flags.Int<int32_t>("--rows", 14);
+  const char* csv = flags.Get("--csv");
+  if (!flags.ok()) return Fail(flags.status());
   auto instance = LoadInstance(data);
   if (!instance.ok()) return Fail(instance.status());
   BBox bounds;
@@ -437,8 +393,6 @@ int CmdDensity(int argc, char** argv) {
     return 1;
   }
   bounds.Inflate(0.1);
-  const int32_t cols = static_cast<int32_t>(IntFlag(argc, argv, "--cols", 36));
-  const int32_t rows = static_cast<int32_t>(IntFlag(argc, argv, "--rows", 14));
   const DensityGrid grid(*instance, bounds, cols, rows);
   for (PlatformId p = 0; p < instance->PlatformCount(); ++p) {
     std::printf("platform %d workers:\n%s\n", p,
@@ -448,23 +402,24 @@ int CmdDensity(int argc, char** argv) {
   }
   std::printf("platform-0 supply/demand imbalance (total variation): %.3f\n",
               grid.ImbalanceScore());
-  if (const char* csv = FlagValue(argc, argv, "--csv"); csv != nullptr) {
+  if (csv != nullptr) {
     if (Status st = grid.WriteCsv(csv); !st.ok()) return Fail(st);
     std::printf("wrote %s\n", csv);
   }
   return 0;
 }
 
-int CmdSchedule(int argc, char** argv) {
-  const char* data = FlagValue(argc, argv, "--data");
+int CmdSchedule(Flags& flags) {
+  const char* data = flags.Get("--data");
   if (data == nullptr) {
     std::fprintf(stderr, "schedule: --data PREFIX is required\n");
     return 2;
   }
+  if (!flags.ok()) return Fail(flags.status());
   auto instance = LoadInstance(data);
   if (!instance.ok()) return Fail(instance.status());
   ScheduleConfig config;
-  config.sim.workers_recycle = !HasFlag(argc, argv, "--no-recycle");
+  config.sim.workers_recycle = !flags.Has("--no-recycle");
   double total = 0.0;
   for (PlatformId p = 0; p < instance->PlatformCount(); ++p) {
     auto sol = SolveOfflineSchedule(*instance, p, config);
@@ -479,24 +434,25 @@ int CmdSchedule(int argc, char** argv) {
   return 0;
 }
 
-int CmdCr(int argc, char** argv) {
-  const char* data = FlagValue(argc, argv, "--data");
-  const char* algo = FlagValue(argc, argv, "--algo");
+int CmdCr(Flags& flags) {
+  const char* data = flags.Get("--data");
+  const char* algo = flags.Get("--algo");
   if (data == nullptr || algo == nullptr) {
     std::fprintf(stderr, "cr: --data and --algo are required\n");
     return 2;
   }
-  auto instance = LoadInstance(data);
-  if (!instance.ok()) return Fail(instance.status());
+  CrConfig config;
+  config.permutations = flags.Int<int>("--perms", 100);
+  if (!flags.ok()) return Fail(flags.status());
   const std::string algo_name = algo;
-  if (MakeMatcher(algo_name) == nullptr) {
+  if (MakeMatcherByName(algo_name) == nullptr) {
     std::fprintf(stderr, "cr: unknown algorithm '%s'\n", algo);
     return 2;
   }
-  CrConfig config;
-  config.permutations = static_cast<int>(IntFlag(argc, argv, "--perms", 100));
+  auto instance = LoadInstance(data);
+  if (!instance.ok()) return Fail(instance.status());
   auto estimate = EstimateCompetitiveRatio(
-      *instance, [&algo_name] { return MakeMatcher(algo_name); }, config);
+      *instance, [&algo_name] { return MakeMatcherByName(algo_name); }, config);
   if (!estimate.ok()) return Fail(estimate.status());
   std::printf("%s on %s over %lld orders: CR_A(min) %.4f, CR_RO(mean) %.4f "
               "(sd %.4f), skipped %d\n",
@@ -528,7 +484,7 @@ Result<std::pair<double, int64_t>> SweepPoint(
         std::vector<std::unique_ptr<OnlineMatcher>> owned;
         std::vector<OnlineMatcher*> matchers;
         for (PlatformId p = 0; p < instance.PlatformCount(); ++p) {
-          owned.push_back(MakeMatcher(algo));
+          owned.push_back(MakeMatcherByName(algo));
           matchers.push_back(owned.back().get());
         }
         COMX_ASSIGN_OR_RETURN(
@@ -553,24 +509,25 @@ Result<std::pair<double, int64_t>> SweepPoint(
 // TOTA baseline. At availability 0 a well-behaved matcher must not fall
 // below TOTA (it degrades to inner-only matching); at 1 it must reproduce
 // the fault-free cooperative revenue bit for bit.
-int CmdDegrade(int argc, char** argv) {
-  const char* data = FlagValue(argc, argv, "--data");
+int CmdDegrade(Flags& flags) {
+  const char* data = flags.Get("--data");
   if (data == nullptr) {
     std::fprintf(stderr, "degrade: --data PREFIX is required\n");
     return 2;
   }
-  const char* algo_flag = FlagValue(argc, argv, "--algo");
-  const std::string algo = algo_flag != nullptr ? algo_flag : "demcom";
-  if (MakeMatcher(algo) == nullptr) {
+  const std::string algo = flags.Get("--algo", "demcom");
+  if (MakeMatcherByName(algo) == nullptr) {
     std::fprintf(stderr, "degrade: unknown algorithm '%s'\n", algo.c_str());
     return 2;
   }
+  const int steps = flags.Int<int>("--steps", 10);
+  const int seeds = flags.Int<int>("--seeds", 3);
+  const int jobs = flags.Int<int>("--jobs", 1);
+  const bool recycle = !flags.Has("--no-recycle");
+  const char* csv = flags.Get("--csv");
+  if (!flags.ok()) return Fail(flags.status());
   auto instance = LoadInstance(data);
   if (!instance.ok()) return Fail(instance.status());
-  const int steps = static_cast<int>(IntFlag(argc, argv, "--steps", 10));
-  const int seeds = static_cast<int>(IntFlag(argc, argv, "--seeds", 3));
-  const int jobs = static_cast<int>(IntFlag(argc, argv, "--jobs", 1));
-  const bool recycle = !HasFlag(argc, argv, "--no-recycle");
   if (steps < 1) {
     std::fprintf(stderr, "degrade: --steps must be >= 1\n");
     return 2;
@@ -629,7 +586,7 @@ int CmdDegrade(int argc, char** argv) {
                         StrFormat("%lld",
                                   static_cast<long long>(point->second))});
   }
-  if (const char* csv = FlagValue(argc, argv, "--csv"); csv != nullptr) {
+  if (csv != nullptr) {
     if (Status st = WriteCsvFile(csv, csv_rows); !st.ok()) return Fail(st);
     std::printf("wrote %s\n", csv);
   }
@@ -645,15 +602,16 @@ int Main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  if (cmd == "gen") return CmdGen(argc, argv);
-  if (cmd == "gen-real") return CmdGenReal(argc, argv);
-  if (cmd == "info") return CmdInfo(argc, argv);
-  if (cmd == "run") return CmdRun(argc, argv);
-  if (cmd == "offline") return CmdOffline(argc, argv);
-  if (cmd == "density") return CmdDensity(argc, argv);
-  if (cmd == "schedule") return CmdSchedule(argc, argv);
-  if (cmd == "cr") return CmdCr(argc, argv);
-  if (cmd == "degrade") return CmdDegrade(argc, argv);
+  Flags flags(argc, argv, /*first=*/2);
+  if (cmd == "gen") return CmdGen(flags);
+  if (cmd == "gen-real") return CmdGenReal(flags);
+  if (cmd == "info") return CmdInfo(flags);
+  if (cmd == "run") return CmdRun(flags);
+  if (cmd == "offline") return CmdOffline(flags);
+  if (cmd == "density") return CmdDensity(flags);
+  if (cmd == "schedule") return CmdSchedule(flags);
+  if (cmd == "cr") return CmdCr(flags);
+  if (cmd == "degrade") return CmdDegrade(flags);
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return 2;
 }

@@ -30,41 +30,21 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include <string>
 
 #include "check/fuzz_driver.h"
+#include "util/flags.h"
 #include "util/signal_guard.h"
 
 namespace comx {
 namespace {
 
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  const size_t flag_len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return i + 1 < argc ? argv[i + 1] : nullptr;
-    }
-    if (std::strncmp(argv[i], flag, flag_len) == 0 &&
-        argv[i][flag_len] == '=') {
-      return argv[i] + flag_len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
 int Main(int argc, char** argv) {
+  Flags flags(argc, argv);
   check::FuzzOptions options;
-  options.log = HasFlag(argc, argv, "--quiet") ? nullptr : stderr;
-  if (HasFlag(argc, argv, "--smoke")) {
+  options.log = flags.Has("--quiet") ? nullptr : stderr;
+  if (flags.Has("--smoke")) {
     // The CI contract: fixed seeds, 200 scenarios across every matcher,
     // roughly five seconds. Deliberately no time budget — a smoke run must
     // either finish its scenarios or fail loudly.
@@ -75,28 +55,24 @@ int Main(int argc, char** argv) {
     // run the durable crash + recover + oracles experiment.
     options.crash_check_every = 16;
   }
-  if (HasFlag(argc, argv, "--batch")) {
+  if (flags.Has("--batch")) {
     options.include_batch = true;
   }
-  if (const char* v = FlagValue(argc, argv, "--runs"); v != nullptr) {
-    options.runs = std::atoll(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "--seed"); v != nullptr) {
-    options.base_seed = static_cast<uint64_t>(std::atoll(v));
-  }
-  if (const char* v = FlagValue(argc, argv, "--time-budget"); v != nullptr) {
-    options.time_budget_seconds = std::atof(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "--repro-dir"); v != nullptr) {
+  options.runs = flags.Int("--runs", options.runs);
+  options.base_seed = flags.Uint64("--seed", options.base_seed);
+  options.time_budget_seconds =
+      flags.Double("--time-budget", options.time_budget_seconds);
+  if (const char* v = flags.Get("--repro-dir"); v != nullptr) {
     options.repro_dir = v;
   }
-  if (const char* v = FlagValue(argc, argv, "--crash-check-every");
-      v != nullptr) {
-    options.crash_check_every = std::atoll(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "--crash-check-dir");
-      v != nullptr) {
+  options.crash_check_every =
+      flags.Int("--crash-check-every", options.crash_check_every);
+  if (const char* v = flags.Get("--crash-check-dir"); v != nullptr) {
     options.crash_check_dir = v;
+  }
+  if (!flags.ok()) {
+    std::fprintf(stderr, "comx_fuzz: %s\n", flags.status().ToString().c_str());
+    return 2;
   }
   if (options.crash_check_every > 0 && options.crash_check_dir.empty()) {
     char tmpl[] = "/tmp/comx_fuzz_crash.XXXXXX";

@@ -49,36 +49,13 @@
 
 #include "exp/bench_record.h"
 #include "obs/latency_histogram.h"
+#include "util/flags.h"
 #include "util/result.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
 namespace comx {
 namespace {
-
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-int64_t IntFlag(int argc, char** argv, const char* flag, int64_t fallback) {
-  const char* v = FlagValue(argc, argv, flag);
-  return v != nullptr ? std::atoll(v) : fallback;
-}
-
-double DoubleFlag(int argc, char** argv, const char* flag, double fallback) {
-  const char* v = FlagValue(argc, argv, flag);
-  return v != nullptr ? std::atof(v) : fallback;
-}
 
 int Fail(const std::string& message) {
   std::fprintf(stderr, "comx_loadgen: %s\n", message.c_str());
@@ -267,38 +244,42 @@ void HandleReply(const std::string& line, const std::vector<int64_t>& sent_ns,
 }
 
 int Main(int argc, char** argv) {
-  const bool smoke = HasFlag(argc, argv, "--smoke");
-  const bool closed = [&] {
-    const char* mode = FlagValue(argc, argv, "--mode");
-    return mode != nullptr && std::strcmp(mode, "closed") == 0;
-  }();
-  const double qps = DoubleFlag(argc, argv, "--qps", smoke ? 5000.0 : 1000.0);
-  const int64_t outstanding = IntFlag(argc, argv, "--outstanding", 64);
-  const double cap_seconds = DoubleFlag(argc, argv, "--duration-cap-s",
-                                        smoke ? 10.0 : 0.0);
+  Flags flags(argc, argv);
+  const bool smoke = flags.Has("--smoke");
+  const char* mode = flags.Get("--mode");
+  const bool closed = mode != nullptr && std::strcmp(mode, "closed") == 0;
+  const double qps = flags.Double("--qps", smoke ? 5000.0 : 1000.0);
+  const int64_t outstanding = flags.Int("--outstanding", 64);
+  const double cap_seconds =
+      flags.Double("--duration-cap-s", smoke ? 10.0 : 0.0);
+  const char* bench = flags.Get("--bench-out");
+  const char* algo = flags.Get("--algo", "ramcom");
 
   SpawnedServe spawned;
-  int port = static_cast<int>(IntFlag(argc, argv, "--port", -1));
+  int port = flags.Int<int>("--port", -1);
   std::string host = "127.0.0.1";
-  if (const char* h = FlagValue(argc, argv, "--host"); h != nullptr) host = h;
+  if (const char* h = flags.Get("--host"); h != nullptr) host = h;
 
-  if (const char* bin = FlagValue(argc, argv, "--spawn-serve"); bin != nullptr) {
-    std::vector<std::string> extra;
-    // Forward the instance/serve shape to the child.
-    for (const char* flag :
-         {"--platforms", "--requests", "--workers", "--radius", "--imbalance",
-          "--gen-seed", "--arrival", "--load", "--algo", "--seed", "--shards",
-          "--threads", "--wal-dir", "--perf-out"}) {
-      if (const char* v = FlagValue(argc, argv, flag); v != nullptr) {
-        extra.push_back(flag);
-        extra.push_back(v);
-      }
+  const char* bin = flags.Get("--spawn-serve");
+  // Forward the instance/serve shape to the child, which validates it.
+  std::vector<std::string> extra;
+  for (const char* flag :
+       {"--platforms", "--requests", "--workers", "--radius", "--imbalance",
+        "--gen-seed", "--arrival", "--load", "--algo", "--seed", "--shards",
+        "--threads", "--wal-dir", "--perf-out"}) {
+    if (const char* v = flags.Get(flag); v != nullptr) {
+      extra.push_back(flag);
+      extra.push_back(v);
     }
-    if (smoke && FlagValue(argc, argv, "--requests") == nullptr) {
+  }
+  if (!flags.ok()) return Fail(flags.status().ToString());
+
+  if (bin != nullptr) {
+    if (smoke && flags.Get("--requests") == nullptr) {
       extra.insert(extra.end(), {"--requests", "1000", "--workers", "200",
                                  "--platforms", "2"});
     }
-    if (smoke && FlagValue(argc, argv, "--shards") == nullptr) {
+    if (smoke && flags.Get("--shards") == nullptr) {
       extra.insert(extra.end(), {"--shards", "4"});
     }
     auto s = SpawnServe(bin, extra);
@@ -437,13 +418,9 @@ int Main(int argc, char** argv) {
       decisions_per_sec, lat.QuantileMicros(0.50), lat.QuantileMicros(0.99),
       lat.QuantileMicros(0.999), capped ? " (capped)" : "");
 
-  if (const char* bench = FlagValue(argc, argv, "--bench-out");
-      bench != nullptr && !capped && failures == 0) {
+  if (bench != nullptr && !capped && failures == 0) {
     exp::BenchRecord record;
-    record.name = StrFormat("serve_smoke.%s",
-                            FlagValue(argc, argv, "--algo") != nullptr
-                                ? FlagValue(argc, argv, "--algo")
-                                : "ramcom");
+    record.name = StrFormat("serve_smoke.%s", algo);
     record.numbers["decisions"] = static_cast<double>(stats.decisions);
     record.numbers["revenue"] = serve_revenue;
     record.numbers["assignments"] = static_cast<double>(assignments);

@@ -36,13 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "core/cost_aware.h"
-#include "core/dem_com.h"
-#include "core/greedy_rt.h"
-#include "core/ram_com.h"
-#include "core/ranking.h"
-#include "core/tota_greedy.h"
-#include "core/window_greedy.h"
+#include "core/matcher_factory.h"
 #include "datagen/dataset.h"
 #include "datagen/synthetic.h"
 #include "matching/batch_matcher.h"
@@ -51,67 +45,32 @@
 #include "obs/profiler.h"
 #include "serve/match_service.h"
 #include "sim/simulator.h"
+#include "util/flags.h"
 #include "util/signal_guard.h"
 #include "util/string_util.h"
 
 namespace comx {
 namespace {
 
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-int64_t IntFlag(int argc, char** argv, const char* flag, int64_t fallback) {
-  const char* v = FlagValue(argc, argv, flag);
-  return v != nullptr ? std::atoll(v) : fallback;
-}
-
-double DoubleFlag(int argc, char** argv, const char* flag, double fallback) {
-  const char* v = FlagValue(argc, argv, flag);
-  return v != nullptr ? std::atof(v) : fallback;
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "comx_serve: %s\n", status.ToString().c_str());
   return 1;
 }
 
-std::unique_ptr<OnlineMatcher> MakeMatcher(const std::string& algo) {
-  if (algo == "tota") return std::make_unique<TotaGreedy>();
-  if (algo == "ranking") return std::make_unique<Ranking>();
-  if (algo == "greedyrt") return std::make_unique<GreedyRt>();
-  if (algo == "demcom") return std::make_unique<DemCom>();
-  if (algo == "ramcom") return std::make_unique<RamCom>();
-  if (algo == "costdem") return std::make_unique<CostAwareDemCom>();
-  // Micro-batch dispatch: the engine never consults these matchers, but
-  // still Reset()s one per platform (WindowGreedy is the window=0 twin).
-  if (algo == "batch") return std::make_unique<WindowGreedy>();
-  return nullptr;
-}
-
-Result<Instance> BuildInstance(int argc, char** argv) {
-  if (const char* prefix = FlagValue(argc, argv, "--load"); prefix != nullptr) {
+Result<Instance> BuildInstance(Flags& flags) {
+  if (const char* prefix = flags.Get("--load"); prefix != nullptr) {
     return LoadInstance(prefix);
   }
   SyntheticConfig config;
-  config.platforms = static_cast<int32_t>(IntFlag(argc, argv, "--platforms", 2));
-  config.requests_per_platform = {IntFlag(argc, argv, "--requests", 1250)};
-  config.workers_per_platform = {IntFlag(argc, argv, "--workers", 250)};
-  config.radius_km = DoubleFlag(argc, argv, "--radius", 1.0);
-  config.imbalance = DoubleFlag(argc, argv, "--imbalance", 0.7);
-  config.seed = static_cast<uint64_t>(IntFlag(argc, argv, "--gen-seed", 2020));
-  if (const char* arrival = FlagValue(argc, argv, "--arrival");
-      arrival != nullptr) {
+  config.platforms = flags.Int<int32_t>("--platforms", 2);
+  config.requests_per_platform = {flags.Int("--requests", 1250)};
+  config.workers_per_platform = {flags.Int("--workers", 250)};
+  config.radius_km = flags.Double("--radius", 1.0);
+  config.imbalance = flags.Double("--imbalance", 0.7);
+  config.seed = flags.Uint64("--gen-seed", 2020);
+  const char* arrival = flags.Get("--arrival");
+  if (!flags.ok()) return flags.status();
+  if (arrival != nullptr) {
     if (std::strcmp(arrival, "poisson") == 0) {
       config.arrival_process = ArrivalProcess::kPoisson;
     } else if (std::strcmp(arrival, "day") != 0) {
@@ -212,8 +171,8 @@ std::string TotalsLine(const serve::ServiceTotals& totals) {
       static_cast<long long>(totals.rejected));
 }
 
-void MaybeWritePerf(int argc, char** argv) {
-  if (const char* path = FlagValue(argc, argv, "--perf-out"); path != nullptr) {
+void MaybeWritePerf(const char* path) {
+  if (path != nullptr) {
     if (Status st = obs::SpanProfiler::Global().WriteProfile(path); !st.ok()) {
       std::fprintf(stderr, "comx_serve: perf-out: %s\n",
                    st.ToString().c_str());
@@ -223,19 +182,19 @@ void MaybeWritePerf(int argc, char** argv) {
 
 int RunReplay(serve::MatchService* service, const Instance& instance,
               const std::string& algo, const SimConfig& sim, uint64_t seed,
-              bool verify, int argc, char** argv) {
+              bool verify, const char* perf_out) {
   if (Status st = service->SubmitAll(); !st.ok()) return Fail(st);
   auto totals = service->Drain();
   if (!totals.ok()) return Fail(totals.status());
   std::printf("%s\n", TotalsLine(*totals).c_str());
-  MaybeWritePerf(argc, argv);
+  MaybeWritePerf(perf_out);
   if (!verify) return 0;
 
   // Equivalence gate: an uninterrupted batch run of the same instance.
   std::vector<std::unique_ptr<OnlineMatcher>> owned;
   std::vector<OnlineMatcher*> matchers;
   for (int32_t p = 0; p < instance.PlatformCount(); ++p) {
-    owned.push_back(MakeMatcher(algo));
+    owned.push_back(MakeMatcherByName(algo));
     matchers.push_back(owned.back().get());
   }
   SimConfig batch = sim;
@@ -265,9 +224,8 @@ int RunReplay(serve::MatchService* service, const Instance& instance,
   return 0;
 }
 
-int ServeLoop(serve::MatchService* service, int argc, char** argv) {
-  const int port = static_cast<int>(IntFlag(argc, argv, "--port", 7533));
-
+int ServeLoop(serve::MatchService* service, int port,
+              const char* perf_out) {
   ::signal(SIGPIPE, SIG_IGN);
   InstallShutdownGuard();
 
@@ -306,7 +264,7 @@ int ServeLoop(serve::MatchService* service, int argc, char** argv) {
     }
     if (conn_fd >= 0) ::close(conn_fd);
     ::close(listen_fd);
-    MaybeWritePerf(argc, argv);
+    MaybeWritePerf(perf_out);
     return DrainShutdown();
   };
 
@@ -349,7 +307,7 @@ int ServeLoop(serve::MatchService* service, int argc, char** argv) {
         writer->WriteLine("BYE");
         ::close(conn_fd);
         ::close(listen_fd);
-        MaybeWritePerf(argc, argv);
+        MaybeWritePerf(perf_out);
         return 0;
       }
       if (line == "HELLO") {
@@ -410,23 +368,13 @@ int ServeLoop(serve::MatchService* service, int argc, char** argv) {
 }
 
 int Main(int argc, char** argv) {
-  const std::string algo = FlagValue(argc, argv, "--algo") != nullptr
-                               ? FlagValue(argc, argv, "--algo")
-                               : "ramcom";
-  if (MakeMatcher(algo) == nullptr) {
-    std::fprintf(stderr, "comx_serve: unknown --algo %s\n", algo.c_str());
-    return 2;
-  }
-  auto instance = BuildInstance(argc, argv);
-  if (!instance.ok()) return Fail(instance.status());
-
-  obs::SetCollectionEnabled(true);
-
+  Flags flags(argc, argv);
+  const std::string algo = flags.Get("--algo", "ramcom");
   serve::ServiceOptions options;
-  options.shards = static_cast<int32_t>(IntFlag(argc, argv, "--shards", 4));
-  options.seed = static_cast<uint64_t>(IntFlag(argc, argv, "--seed", 1));
-  options.threads = static_cast<size_t>(IntFlag(argc, argv, "--threads", 0));
-  if (const char* dir = FlagValue(argc, argv, "--wal-dir"); dir != nullptr) {
+  options.shards = flags.Int<int32_t>("--shards", 4);
+  options.seed = flags.Uint64("--seed", 1);
+  options.threads = flags.Int<size_t>("--threads", 0);
+  if (const char* dir = flags.Get("--wal-dir"); dir != nullptr) {
     options.wal_dir = dir;
   }
   // --algo batch serves micro-batch dispatch: requests queue inside their
@@ -434,27 +382,39 @@ int Main(int argc, char** argv) {
   // problems; --batch-algo picks the window solver (incremental_km, the
   // exact default, or greedy). Incompatible with --wal-dir (shards refuse
   // the combination).
+  const char* batch_algo = nullptr;
   if (algo == "batch") {
     options.sim.batch_mode = true;
-    options.sim.batch_window_seconds = DoubleFlag(
-        argc, argv, "--batch-window", options.sim.batch_window_seconds);
-    if (const char* name = FlagValue(argc, argv, "--batch-algo");
-        name != nullptr) {
-      auto parsed = ParseBatchAlgo(name);
-      if (!parsed.ok()) return Fail(parsed.status());
-      options.sim.batch.algo = *parsed;
-    }
+    options.sim.batch_window_seconds =
+        flags.Double("--batch-window", options.sim.batch_window_seconds);
+    batch_algo = flags.Get("--batch-algo");
   }
+  const int port = flags.Int<uint16_t>("--port", 7533);
+  const char* perf_out = flags.Get("--perf-out");
+  if (!flags.ok()) return Fail(flags.status());
+  if (MakeMatcherByName(algo) == nullptr) {
+    std::fprintf(stderr, "comx_serve: unknown --algo %s\n", algo.c_str());
+    return 2;
+  }
+  if (batch_algo != nullptr) {
+    auto parsed = ParseBatchAlgo(batch_algo);
+    if (!parsed.ok()) return Fail(parsed.status());
+    options.sim.batch.algo = *parsed;
+  }
+  auto instance = BuildInstance(flags);
+  if (!instance.ok()) return Fail(instance.status());
+
+  obs::SetCollectionEnabled(true);
+
   auto service = serve::MatchService::Create(
-      *instance, [&algo] { return MakeMatcher(algo); }, options);
+      *instance, [&algo] { return MakeMatcherByName(algo); }, options);
   if (!service.ok()) return Fail(service.status());
 
-  if (HasFlag(argc, argv, "--replay")) {
+  if (flags.Has("--replay")) {
     return RunReplay(service->get(), *instance, algo, options.sim,
-                     options.seed, HasFlag(argc, argv, "--verify"), argc,
-                     argv);
+                     options.seed, flags.Has("--verify"), perf_out);
   }
-  return ServeLoop(service->get(), argc, argv);
+  return ServeLoop(service->get(), port, perf_out);
 }
 
 }  // namespace

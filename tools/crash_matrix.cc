@@ -37,31 +37,11 @@
 
 #include "check/recovery_oracles.h"
 #include "exp/sweep_runner.h"
+#include "util/flags.h"
 #include "util/string_util.h"
 
 namespace comx {
 namespace {
-
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  const size_t flag_len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return i + 1 < argc ? argv[i + 1] : nullptr;
-    }
-    if (std::strncmp(argv[i], flag, flag_len) == 0 &&
-        argv[i][flag_len] == '=') {
-      return argv[i] + flag_len + 1;
-    }
-  }
-  return nullptr;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
 
 struct PointOutcome {
   bool ran = false;
@@ -71,31 +51,27 @@ struct PointOutcome {
 };
 
 int Main(int argc, char** argv) {
-  int64_t points = 100;
-  int64_t scenarios = 8;
-  uint64_t seed = 2020;
-  int jobs = 0;  // hardware concurrency
-  int64_t checkpoint_every = 32;
-  std::string dir;
-
-  const bool smoke = HasFlag(argc, argv, "--smoke");
-  const bool boundaries = HasFlag(argc, argv, "--boundaries");
-  if (smoke) {
-    points = 24;
-    scenarios = 4;
+  Flags flags(argc, argv);
+  const bool smoke = flags.Has("--smoke");
+  const bool boundaries = flags.Has("--boundaries");
+  const int64_t points = flags.Int("--points", smoke ? 24 : 100);
+  const int64_t scenarios = flags.Int("--scenarios", smoke ? 4 : 8);
+  const uint64_t seed = flags.Uint64("--seed", 2020);
+  // 0 = hardware concurrency.
+  const int jobs = flags.Int<int>("--jobs", 0);
+  const int64_t checkpoint_every = flags.Int("--checkpoint-every", 32);
+  std::string dir = flags.Get("--dir", "");
+  // Replay mode: one exact point from a comx_fuzz crash-check failure.
+  const char* fuzz_seed = flags.Get("--fuzz-seed");
+  const uint64_t fs = flags.Uint64("--fuzz-seed", 0);
+  const uint64_t sc = flags.Uint64("--scenario", 0);
+  const uint64_t cs = flags.Uint64("--crash-seed", 0);
+  const char* algo = flags.Get("--algo");
+  if (!flags.ok()) {
+    std::fprintf(stderr, "crash_matrix: %s\n",
+                 flags.status().ToString().c_str());
+    return 2;
   }
-  if (const char* v = FlagValue(argc, argv, "--points")) points = std::atoll(v);
-  if (const char* v = FlagValue(argc, argv, "--scenarios")) {
-    scenarios = std::atoll(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "--seed")) {
-    seed = static_cast<uint64_t>(std::atoll(v));
-  }
-  if (const char* v = FlagValue(argc, argv, "--jobs")) jobs = std::atoi(v);
-  if (const char* v = FlagValue(argc, argv, "--checkpoint-every")) {
-    checkpoint_every = std::atoll(v);
-  }
-  if (const char* v = FlagValue(argc, argv, "--dir")) dir = v;
   if (dir.empty()) {
     char tmpl[] = "/tmp/comx_crash_matrix.XXXXXX";
     if (::mkdtemp(tmpl) == nullptr) {
@@ -105,12 +81,9 @@ int Main(int argc, char** argv) {
     dir = tmpl;
   }
 
-  // Replay mode: one exact point from a comx_fuzz crash-check failure.
-  if (const char* fs = FlagValue(argc, argv, "--fuzz-seed")) {
-    const char* sc = FlagValue(argc, argv, "--scenario");
-    const char* algo = FlagValue(argc, argv, "--algo");
-    const char* cs = FlagValue(argc, argv, "--crash-seed");
-    if (sc == nullptr || algo == nullptr || cs == nullptr) {
+  if (fuzz_seed != nullptr) {
+    if (flags.Get("--scenario") == nullptr || algo == nullptr ||
+        flags.Get("--crash-seed") == nullptr) {
       std::fprintf(stderr,
                    "crash_matrix: replay needs --scenario, --algo, "
                    "--crash-seed\n");
@@ -128,9 +101,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "crash_matrix: unknown --algo %s\n", algo);
       return 2;
     }
-    const check::Scenario scenario = check::DrawScenario(
-        static_cast<uint64_t>(std::atoll(fs)),
-        static_cast<uint64_t>(std::atoll(sc)));
+    const check::Scenario scenario = check::DrawScenario(fs, sc);
     auto instance = check::BuildScenarioInstance(scenario);
     if (!instance.ok()) {
       std::fprintf(stderr, "crash_matrix: %s\n",
@@ -138,8 +109,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
     auto outcome = check::RunCrashRecoveryCheck(
-        kind, scenario, *instance, dir + "/replay",
-        static_cast<uint64_t>(std::atoll(cs)), checkpoint_every);
+        kind, scenario, *instance, dir + "/replay", cs, checkpoint_every);
     if (!outcome.ok()) {
       std::fprintf(stderr, "crash_matrix: %s\n",
                    outcome.status().ToString().c_str());
